@@ -1,13 +1,13 @@
-//! Micro-benchmarks of the live wire codec: encode/decode of the
-//! batched solution-shipping frames (`SubmitSolBatch`,
-//! `SubQuerySolBatch`, `SolutionsBatch`) that PR 8's submit pump and
-//! coordinator coalescing put on every loaded link, plus the singleton
-//! `SubQuerySol` they replace. `encode_wire` pre-sizes its buffer from
-//! a size hint; these benches price that allocation path at realistic
-//! batch widths.
+//! Micro-benchmarks of the live wire codec (wire v4): encode/decode of
+//! the frames the submit pump and the coordinator's per-provider flush
+//! put on every loaded link — a lone `Exec` round (a batch of one),
+//! 8- and 32-round `Submit` / `Exec` batches, and a storage node's
+//! multi-entry `Answer`. `encode_wire` pre-sizes its buffer from a size
+//! hint; these benches price that allocation path at realistic batch
+//! widths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rdfmesh_core::{LiveMsg, QueryId, SolRound};
+use rdfmesh_core::{LiveMsg, QueryId, Round};
 use rdfmesh_net::{NodeId, WireMsg};
 use rdfmesh_rdf::{Term, TermPattern, TriplePattern, Variable};
 use rdfmesh_sparql::Solution;
@@ -27,47 +27,28 @@ fn pattern() -> TriplePattern {
     )
 }
 
-fn round(qid: u64, bound: usize) -> SolRound {
-    SolRound {
-        qid: QueryId(qid),
-        pattern: pattern(),
-        filter: None,
-        bound: (bound > 0).then(|| (0..bound as u64).map(solution).collect()),
-    }
+fn round(qid: u64, bound: usize) -> Round {
+    let bound = (bound > 0).then(|| (0..bound as u64).map(solution).collect());
+    Round::chained(QueryId(qid), pattern(), None, bound)
 }
 
-/// The frames a loaded mesh actually ships: a singleton sub-query, the
-/// same sub-query batched 8- and 32-wide, and the storage node's
-/// batched reply (8 queries × 16 solutions).
+/// The frames a loaded mesh actually ships: a lone exec round, the same
+/// round batched 8- and 32-wide, and the storage node's batched reply
+/// (8 queries × 16 solutions).
 fn messages() -> Vec<(&'static str, LiveMsg)> {
-    let single = {
-        let r = round(1, 16);
-        LiveMsg::SubQuerySol {
-            qid: r.qid,
-            pattern: r.pattern,
-            filter: r.filter,
-            bound: r.bound,
-            reply_to: NodeId(7),
-        }
+    let exec = |n: u64| LiveMsg::Exec {
+        rounds: (0..n).map(|q| round(q, 16)).collect(),
+        reply_to: NodeId(7),
     };
     vec![
-        ("subquery_sol_single_16b", single),
+        ("exec_single_16b", exec(1)),
+        ("submit_batch_8", LiveMsg::Submit { rounds: (0..8).map(|q| round(q, 16)).collect() }),
+        ("exec_batch_32", exec(32)),
         (
-            "submit_sol_batch_8",
-            LiveMsg::SubmitSolBatch { rounds: (0..8).map(|q| round(q, 16)).collect() },
-        ),
-        (
-            "subquery_sol_batch_32",
-            LiveMsg::SubQuerySolBatch {
-                rounds: (0..32).map(|q| round(q, 16)).collect(),
-                reply_to: NodeId(7),
-            },
-        ),
-        (
-            "solutions_batch_8x16",
-            LiveMsg::SolutionsBatch {
+            "answer_batch_8x16",
+            LiveMsg::Answer {
                 entries: (0..8)
-                    .map(|q| (QueryId(q), (0..16u64).map(solution).collect()))
+                    .map(|q| (QueryId(q), vec![(0..16u64).map(solution).collect()]))
                     .collect(),
             },
         ),
@@ -88,8 +69,8 @@ fn bench(c: &mut Criterion) {
         let bytes = msg.encode_wire();
         decode.bench_function(label, |b| {
             b.iter(|| {
-                let decoded = LiveMsg::decode_wire(std::hint::black_box(&bytes))
-                    .expect("round-trips");
+                let decoded =
+                    LiveMsg::decode_wire(std::hint::black_box(&bytes)).expect("round-trips");
                 std::hint::black_box(decoded)
             });
         });

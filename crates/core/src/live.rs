@@ -7,9 +7,19 @@
 //! the index node, provider resolution from its location table, parallel
 //! sub-queries to the storage nodes, assembly of their answers.
 //!
+//! Every submission is one [`Round`]: a query id, its pattern slots, an
+//! optional source-side filter and bound intermediates, and a
+//! [`RoundStrategy`] — chained (one slot, answered provider by provider),
+//! HyperCube shuffle, or partial evaluation. All three run the same loop
+//! through one coordinator state machine: a [`LiveMsg::Lookup`] per slot,
+//! one [`LiveMsg::Exec`] per provider of the slots' union, and a gather
+//! of their [`LiveMsg::Answer`]s. A lone query is a batch of one: the
+//! submit pump and the per-provider flush put however many rounds are
+//! ready into one frame.
+//!
 //! Unlike the simulator, real threads really do lose messages and crash
-//! mid-query, so the coordinator is a **per-query state machine** keyed
-//! by a fresh [`QueryId`] carried in every [`LiveMsg`]:
+//! mid-query, so the coordinator keeps one flight per [`QueryId`], and
+//! every message names the query it belongs to:
 //!
 //! * every awaited reply has a deadline ([`Outbox::schedule`] delivers
 //!   the coordinator a [`LiveMsg::Deadline`] message to itself);
@@ -29,10 +39,6 @@
 //! exactly what survived. `docs/FAULTS.md` contrasts this live failure
 //! model with the simulator's; the fault-injection harness lives in
 //! [`rdfmesh_net::FaultPlan`].
-//!
-//! Swapping [`rdfmesh_net::Cluster`] for a socket transport would make
-//! this a deployable system; nothing here touches shared state beyond
-//! the observable location tables and counters.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,12 +46,16 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use rdfmesh_net::{Cluster, Envelope, FaultPlan, Handler, NodeId, Outbox, TcpCluster, TransportSnapshot};
+use rdfmesh_net::{
+    Cluster, Envelope, FaultPlan, Handler, NodeId, Outbox, TcpCluster, TransportSnapshot,
+};
 use rdfmesh_overlay::{key_for_pattern, keys_for_triple, Overlay};
-use rdfmesh_rdf::{SharedStore, Triple, TriplePattern, Variable};
+use rdfmesh_rdf::{SharedStore, TriplePattern, Variable};
+use rdfmesh_sparql::eval::evaluate_pattern_with;
 use rdfmesh_sparql::expr::Expression;
-use rdfmesh_sparql::solution::{wire, DistinctBuffer, Solution};
+use rdfmesh_sparql::solution::{join, wire, DistinctBuffer, Solution};
 
+use crate::admission::Admission;
 use crate::config::{DistStrategy, LiveConfig};
 use crate::stats::{LiveStats, LiveStatsSnapshot};
 
@@ -58,10 +68,12 @@ pub struct QueryId(pub u64);
 /// Which awaited event a [`LiveMsg::Deadline`] guards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeadlineStage {
-    /// The provider lookup at the index node; `attempt` is the lookup
-    /// attempt the deadline was armed for (a stale deadline from an
-    /// earlier attempt is ignored).
+    /// One slot's provider lookup at the index node; `attempt` is the
+    /// lookup attempt the deadline was armed for (a stale deadline from
+    /// an earlier attempt is ignored).
     Lookup {
+        /// Pattern slot within the round (0-based).
+        slot: u32,
         /// Attempt number at schedule time (0-based).
         attempt: u8,
     },
@@ -72,156 +84,160 @@ pub enum DeadlineStage {
         /// Attempt number at schedule time (0-based).
         attempt: u8,
     },
-    /// One pattern's provider lookup within a multiway round; `idx`
-    /// names the pattern slot the lookup resolves.
-    MultiLookup {
-        /// Pattern slot within the multiway BGP (0-based).
-        idx: u32,
-        /// Attempt number at schedule time (0-based).
-        attempt: u8,
-    },
     /// The whole-query backstop: fire whatever is still outstanding and
     /// answer with what was collected.
     Overall,
 }
 
-/// One query's solution round: everything a [`LiveMsg::SubmitSol`] /
-/// [`LiveMsg::SubQuerySol`] carries, minus the addressing. The batched
-/// messages ship several of these in one frame so N concurrent queries
-/// amortize framing and socket syscalls instead of paying them N times.
+/// How a [`Round`]'s providers evaluate its slots and how the
+/// coordinator assembles their answers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RoundStrategy {
+    /// One slot, answered by every provider over its local data —
+    /// extending the round's bound intermediates (the bind join of
+    /// Sect. IV-D) and applying its filter at the source (Sect. IV-G).
+    /// The coordinator unions the answers.
+    Chained,
+    /// HyperCube shuffle: every provider evaluates every slot locally,
+    /// partitions the solutions by hashing their `join_vars` bindings
+    /// over `peers`, ships each partition to its target once, joins the
+    /// fragment it receives, and answers with that fragment.
+    HyperCube {
+        /// The hash key: variables shared by every slot.
+        join_vars: Vec<Variable>,
+        /// Shuffle generation: bumped when the coordinator re-issues the
+        /// round over the surviving peers after declaring one dead, so
+        /// partitions from the abandoned generation cannot pollute the
+        /// restarted one. Zero at submission.
+        generation: u32,
+        /// Every participating provider, sorted — the partition targets.
+        /// Filled in by the coordinator; empty at submission.
+        peers: Vec<NodeId>,
+    },
+    /// Partial evaluation and assembly: every provider answers each slot
+    /// over its local data only, and the coordinator joins the per-slot
+    /// unions.
+    PartialEval,
+}
+
+/// One query's unit of work, from submission to the providers: the
+/// coordinator resolves each slot's providers and ships the round
+/// unchanged to their union.
 #[derive(Debug, Clone)]
-pub struct SolRound {
+pub struct Round {
     /// The owning query.
     pub qid: QueryId,
-    /// The pattern to resolve.
-    pub pattern: TriplePattern,
+    /// The pattern slots to resolve.
+    pub patterns: Vec<TriplePattern>,
     /// Source-side filter every returned solution must satisfy.
     pub filter: Option<Expression>,
     /// Intermediate solutions the providers extend (`None` starts from
     /// the unit solution).
     pub bound: Option<Vec<Solution>>,
+    /// How the slots are evaluated and assembled.
+    pub strategy: RoundStrategy,
 }
 
-/// Protocol messages of the live mesh.
+impl Round {
+    /// A chained round over one pattern.
+    pub fn chained(
+        qid: QueryId,
+        pattern: TriplePattern,
+        filter: Option<Expression>,
+        bound: Option<Vec<Solution>>,
+    ) -> Round {
+        Round { qid, patterns: vec![pattern], filter, bound, strategy: RoundStrategy::Chained }
+    }
+
+    /// A round joining a whole multi-pattern BGP in one distributed step:
+    /// [`DistStrategy::HyperCube`] shuffles on `join_vars`, anything else
+    /// runs partial evaluation and assembly.
+    pub fn multiway(
+        qid: QueryId,
+        patterns: Vec<TriplePattern>,
+        join_vars: Vec<Variable>,
+        strategy: DistStrategy,
+    ) -> Round {
+        let strategy = match strategy {
+            DistStrategy::HyperCube => {
+                RoundStrategy::HyperCube { join_vars, generation: 0, peers: Vec::new() }
+            }
+            _ => RoundStrategy::PartialEval,
+        };
+        Round { qid, patterns, filter: None, bound: None, strategy }
+    }
+}
+
+/// Protocol messages of the live mesh (wire v4, `docs/DEPLOYMENT.md`).
 #[derive(Debug, Clone)]
 pub enum LiveMsg {
-    /// The external application submits a query at the coordinator.
+    /// The external application submits rounds at the coordinator. The
+    /// submit pump coalesces whatever is ready into one frame.
     Submit {
-        /// Fresh id allocated by [`LiveMesh::query`].
-        qid: QueryId,
-        /// The pattern to resolve.
-        pattern: TriplePattern,
+        /// One entry per submitted round.
+        rounds: Vec<Round>,
     },
-    /// The external application submits a *solution round* at the
-    /// coordinator: the providers answer with solution mappings instead
-    /// of raw triples, optionally extending shipped intermediate
-    /// results (the bind-join step of Sect. IV-D) and applying a
-    /// pushed-down filter at the source (Sect. IV-G).
-    SubmitSol {
-        /// Fresh id allocated by [`LiveMesh::query_solutions`].
-        qid: QueryId,
-        /// The pattern to resolve.
-        pattern: TriplePattern,
-        /// Source-side filter every returned solution must satisfy.
-        filter: Option<Expression>,
-        /// Intermediate solutions the providers extend (`None` starts
-        /// from the unit solution).
-        bound: Option<Vec<Solution>>,
-    },
-    /// Ask an index node which storage nodes can answer `pattern`.
+    /// Ask an index node which storage nodes can answer `pattern`, slot
+    /// `slot` of query `qid`. Routed hop-by-hop to the key's owner.
     Lookup {
         /// The owning query.
         qid: QueryId,
+        /// Pattern slot within the round (0-based).
+        slot: u32,
         /// The pattern being resolved.
         pattern: TriplePattern,
         /// Where to send the provider list.
         reply_to: NodeId,
     },
-    /// An index node's answer: the providers for the pattern.
+    /// An index node's answer to a [`LiveMsg::Lookup`].
     Providers {
         /// The owning query.
         qid: QueryId,
-        /// The pattern this answers.
-        pattern: TriplePattern,
+        /// The pattern slot this answers.
+        slot: u32,
         /// Storage nodes holding matching triples.
         providers: Vec<NodeId>,
     },
-    /// A sub-query shipped to a storage node.
-    SubQuery {
-        /// The owning query.
-        qid: QueryId,
-        /// The pattern to match locally.
-        pattern: TriplePattern,
-        /// Where to send the matches.
+    /// Coordinator → storage node: evaluate these rounds. Several
+    /// queries' rounds for the same node share one frame.
+    Exec {
+        /// One entry per query's round.
+        rounds: Vec<Round>,
+        /// Where to send the answers.
         reply_to: NodeId,
     },
-    /// A storage node's local matches.
-    Matches {
+    /// Storage node → coordinator: per-slot solution sets of one or more
+    /// rounds. Chained and HyperCube answers carry one set, partial
+    /// evaluation one per slot.
+    Answer {
+        /// `(query, its solution sets)` per answered round.
+        entries: Vec<(QueryId, Vec<Vec<Solution>>)>,
+    },
+    /// Provider → provider: one HyperCube partition, `parts[i]` holding
+    /// the sender's slot-`i` solutions that hash to the receiver.
+    ShufflePart {
         /// The owning query.
         qid: QueryId,
-        /// The matching triples.
-        triples: Vec<Triple>,
+        /// The shuffle generation the partition belongs to.
+        generation: u32,
+        /// Per-slot solution sets destined for the receiver.
+        parts: Vec<Vec<Solution>>,
     },
-    /// A solution-round sub-query shipped to a storage node.
-    SubQuerySol {
-        /// The owning query.
+    /// Coordinator → shuffle peers: the round finished; drop any
+    /// retained shuffle state for `qid`.
+    Done {
+        /// The finished query.
         qid: QueryId,
-        /// The pattern to match locally.
-        pattern: TriplePattern,
-        /// Source-side filter to apply before answering.
-        filter: Option<Expression>,
-        /// Intermediate solutions to extend (`None` starts from the
-        /// unit solution).
-        bound: Option<Vec<Solution>>,
-        /// Where to send the solutions.
-        reply_to: NodeId,
-    },
-    /// A storage node's local solutions for a solution round.
-    Solutions {
-        /// The owning query.
-        qid: QueryId,
-        /// The (filtered, extended) solution mappings.
-        solutions: Vec<Solution>,
-    },
-    /// Several queries' round submissions coalesced into one message by
-    /// the submit pump (group commit): under load, concurrent callers'
-    /// rounds pile up while the previous inject is in flight and the
-    /// coordinator starts them all in a single handler turn.
-    SubmitSolBatch {
-        /// One entry per submitted round.
-        rounds: Vec<SolRound>,
-    },
-    /// Several queries' solution sub-queries for the *same* storage
-    /// node, coalesced per provider within one coordinator turn.
-    SubQuerySolBatch {
-        /// One entry per query's sub-query.
-        rounds: Vec<SolRound>,
-        /// Where to send the batched solutions.
-        reply_to: NodeId,
-    },
-    /// A storage node's answers to a [`LiveMsg::SubQuerySolBatch`]: one
-    /// solution set per batched query, in one frame.
-    SolutionsBatch {
-        /// `(query, its solutions)` per batched sub-query.
-        entries: Vec<(QueryId, Vec<Solution>)>,
     },
     /// Coordinator → index node: `provider` missed its query-ack
     /// deadline for `pattern`'s key; lazily drop it from the owner's
-    /// location-table row (Sect. III-C/D). Routed hop-by-hop like a
+    /// location-table row (Sect. III-C/D). Routed like a
     /// [`LiveMsg::Lookup`].
     ProviderDead {
         /// The pattern whose key row names the dead provider.
         pattern: TriplePattern,
         /// The storage node that failed to answer.
         provider: NodeId,
-    },
-    /// A deadline the coordinator scheduled to itself via the cluster
-    /// timer ([`Outbox::schedule`]).
-    Deadline {
-        /// The owning query.
-        qid: QueryId,
-        /// Which awaited event expired.
-        stage: DeadlineStage,
     },
     /// Storage node → owning index node: register `provider` in the
     /// location-table rows for `keys`. Idempotent, so the serve-mode
@@ -234,100 +250,13 @@ pub enum LiveMsg {
         /// The storage node registering itself.
         provider: NodeId,
     },
-    /// The external application submits a whole multi-pattern BGP at
-    /// the coordinator, to be joined in a single distributed round by
-    /// the named strategy (HyperCube shuffle or
-    /// partial-evaluation-and-assembly) instead of pattern-by-pattern
-    /// chained shipping.
-    SubmitMulti {
-        /// Fresh id allocated by [`LiveMesh::submit_multiway`].
-        qid: QueryId,
-        /// The conjunctive patterns to join.
-        patterns: Vec<TriplePattern>,
-        /// The variables every pattern shares — the shuffle hash key.
-        join_vars: Vec<Variable>,
-        /// Which multiway strategy resolves the round.
-        strategy: DistStrategy,
-    },
-    /// Ask an index node which storage nodes can answer pattern slot
-    /// `idx` of a multiway round. Routed hop-by-hop like a
-    /// [`LiveMsg::Lookup`].
-    MultiLookup {
+    /// A deadline the coordinator scheduled to itself via the cluster
+    /// timer ([`Outbox::schedule`]).
+    Deadline {
         /// The owning query.
         qid: QueryId,
-        /// Pattern slot within the multiway BGP (0-based).
-        idx: u32,
-        /// The pattern being resolved.
-        pattern: TriplePattern,
-        /// Where to send the provider list.
-        reply_to: NodeId,
-    },
-    /// An index node's answer to a [`LiveMsg::MultiLookup`].
-    MultiProviders {
-        /// The owning query.
-        qid: QueryId,
-        /// The pattern slot this answers.
-        idx: u32,
-        /// Storage nodes holding matching triples for the slot.
-        providers: Vec<NodeId>,
-    },
-    /// Coordinator → every provider: run the HyperCube shuffle for this
-    /// BGP. Each provider evaluates every pattern locally, partitions
-    /// the solutions by hashing their `join_vars` bindings over
-    /// `peers`, ships each partition to its target once, joins the
-    /// fragment it receives, and answers with [`LiveMsg::Solutions`].
-    ShuffleExec {
-        /// The owning query.
-        qid: QueryId,
-        /// Shuffle generation: bumped when the coordinator re-issues the
-        /// round over the surviving peers after declaring one dead, so
-        /// partitions from the abandoned generation cannot pollute the
-        /// restarted one.
-        round: u32,
-        /// The conjunctive patterns to evaluate locally.
-        patterns: Vec<TriplePattern>,
-        /// The hash key: variables shared by every pattern.
-        join_vars: Vec<Variable>,
-        /// Every participating provider, sorted — the partition targets.
-        peers: Vec<NodeId>,
-        /// Where to send the locally-joined fragment.
-        reply_to: NodeId,
-    },
-    /// Provider → provider: one shuffle partition, `parts[i]` holding
-    /// the sender's pattern-`i` solutions that hash to the receiver.
-    ShufflePart {
-        /// The owning query.
-        qid: QueryId,
-        /// The shuffle generation the partition belongs to (matches the
-        /// [`LiveMsg::ShuffleExec`] that triggered the scatter).
-        round: u32,
-        /// Per-pattern solution sets destined for the receiver.
-        parts: Vec<Vec<Solution>>,
-    },
-    /// Coordinator → every provider: evaluate the whole BGP over local
-    /// data only (partial evaluation) and ship the per-pattern solution
-    /// sets back for assembly at the coordinator.
-    PartialExec {
-        /// The owning query.
-        qid: QueryId,
-        /// The conjunctive patterns to evaluate locally.
-        patterns: Vec<TriplePattern>,
-        /// Where to send the per-pattern matches.
-        reply_to: NodeId,
-    },
-    /// A provider's partial-evaluation answer: its local solutions for
-    /// every pattern slot, assembled (joined) at the coordinator.
-    PartialMatches {
-        /// The owning query.
-        qid: QueryId,
-        /// `per_pattern[i]` = local solutions of pattern `i`.
-        per_pattern: Vec<Vec<Solution>>,
-    },
-    /// Coordinator → providers: the multiway round finished; drop any
-    /// retained shuffle state for `qid`.
-    MultiDone {
-        /// The finished query.
-        qid: QueryId,
+        /// Which awaited event expired.
+        stage: DeadlineStage,
     },
 }
 
@@ -335,13 +264,9 @@ pub enum LiveMsg {
 /// protocol reports exactly how much of the answer survived.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiveAnswer {
-    /// Deduplicated matches from every provider that answered in time
-    /// (triple rounds only; empty for solution rounds).
-    pub triples: Vec<Triple>,
     /// Deduplicated solution mappings from every provider that answered
-    /// in time (solution rounds only; empty for triple rounds). The
-    /// per-gather dedup mirrors the simulator's in-network aggregation:
-    /// identical solutions from replicated triples collapse.
+    /// in time. The per-gather dedup mirrors the simulator's in-network
+    /// aggregation: identical solutions from replicated triples collapse.
     pub solutions: Vec<Solution>,
     /// `true` iff every selected provider answered before its deadline
     /// (an empty provider set is complete).
@@ -357,9 +282,24 @@ pub struct LiveAnswer {
 /// tests can drive arbitrary interleavings without threads or timers.
 #[derive(Debug, Clone)]
 enum Action {
-    Send { to: NodeId, msg: LiveMsg },
-    Schedule { after: Duration, msg: LiveMsg },
-    Finish { qid: QueryId, answer: LiveAnswer },
+    Send {
+        to: NodeId,
+        msg: LiveMsg,
+    },
+    /// Ship `round` to provider `to`; the host coalesces every exec for
+    /// the same provider within one turn into one [`LiveMsg::Exec`].
+    Exec {
+        to: NodeId,
+        round: Round,
+    },
+    Schedule {
+        after: Duration,
+        msg: LiveMsg,
+    },
+    Finish {
+        qid: QueryId,
+        answer: LiveAnswer,
+    },
 }
 
 /// Monotonic fault counters the core accumulates; the handler diffs them
@@ -375,66 +315,60 @@ pub(crate) struct LiveCounters {
     stitched_rows: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    AwaitProviders,
-    Gather,
-}
-
-/// What a query round asks the providers for: raw triple matches (the
-/// original single-pattern protocol) or solution mappings (the
-/// sub-queries the distributed execution core ships).
-#[derive(Debug, Clone)]
-enum RoundKind {
-    Triples,
-    Solutions { filter: Option<Expression>, bound: Option<Vec<Solution>> },
-}
-
+/// How a flight assembles its providers' answers.
 #[derive(Debug)]
-struct InFlight {
-    pattern: TriplePattern,
-    kind: RoundKind,
-    phase: Phase,
-    lookup_attempt: u8,
-    /// provider → current sub-query attempt (0-based).
-    outstanding: HashMap<NodeId, u8>,
-    failed: Vec<NodeId>,
-    collected: Vec<Triple>,
-    /// Hash-indexed so the per-gather dedup stays linear even when many
-    /// replicated providers ship the same large solution sets.
-    collected_solutions: DistinctBuffer,
-}
-
-/// One multiway (HyperCube / partial-evaluation) round's coordinator
-/// state. Kept apart from [`InFlight`]: the round resolves *several*
-/// patterns' providers concurrently and gathers from their union.
-#[derive(Debug)]
-struct MultiFlight {
-    patterns: Vec<TriplePattern>,
-    join_vars: Vec<Variable>,
-    strategy: DistStrategy,
-    phase: Phase,
-    /// Per-pattern lookup attempt (0-based), indexed like `patterns`.
-    lookup_attempts: Vec<u8>,
-    /// Per-pattern provider sets; `None` until the slot's lookup answers.
-    providers: Vec<Option<Vec<NodeId>>>,
-    /// The provider union (sorted) once every slot resolved. Shrinks
-    /// when a HyperCube restart drops peers declared dead.
-    peers: Vec<NodeId>,
-    /// HyperCube shuffle generation: bumped on every restart over the
-    /// surviving peers, so stale partitions and deadlines are ignored.
-    round: u32,
-    /// provider → current exec attempt (0-based, within `round`).
-    outstanding: HashMap<NodeId, u8>,
-    failed: Vec<NodeId>,
-    /// HyperCube: locally-joined fragments gathered from the peers.
-    collected: DistinctBuffer,
+enum Gather {
+    /// Chained and HyperCube: the deduped union of every answer,
+    /// hash-indexed so the gather stays linear in the rows received.
+    Union(DistinctBuffer),
     /// Partial evaluation: the deduped union of every provider's local
-    /// solutions, per pattern slot — the assembly operator's input.
-    per_pattern: Vec<DistinctBuffer>,
-    /// Partial evaluation: rows some single provider could already join
-    /// locally. Assembly rows beyond these stitched cross-site matches.
-    local_complete: DistinctBuffer,
+    /// solutions per slot (the assembly operator's input), and the rows
+    /// some single provider could already join locally — assembly rows
+    /// beyond these stitched cross-site matches.
+    Assembly { slots: Vec<DistinctBuffer>, local: DistinctBuffer },
+}
+
+impl Gather {
+    /// Absorbs one provider's answer, or returns `false` when its shape
+    /// does not fit the round (the reply is then stale).
+    fn absorb(&mut self, sets: Vec<Vec<Solution>>) -> bool {
+        match self {
+            Gather::Union(buf) => sets.into_iter().for_each(|set| buf.extend_distinct(set)),
+            Gather::Assembly { slots, local } => {
+                if sets.len() != slots.len() {
+                    return false;
+                }
+                // The provider's own cross-slot join: everything it
+                // could answer without help.
+                let mut joined = vec![Solution::new()];
+                for (buf, set) in slots.iter_mut().zip(sets) {
+                    let mut mine = DistinctBuffer::new();
+                    mine.extend_distinct(set);
+                    joined = join(&joined, mine.as_slice());
+                    buf.extend_distinct(mine.into_vec());
+                }
+                local.extend_distinct(joined);
+            }
+        }
+        true
+    }
+}
+
+/// One query's coordinator state, for every strategy alike.
+#[derive(Debug)]
+struct Flight {
+    /// What every provider is sent. A HyperCube restart bumps its
+    /// generation and drops the dead peer in place.
+    round: Round,
+    /// Per-slot lookup attempt (0-based).
+    lookups: Vec<u8>,
+    /// Per-slot provider sets; `None` until the slot's lookup answers.
+    providers: Vec<Option<Vec<NodeId>>>,
+    /// provider → current exec attempt (0-based). Empty until every slot
+    /// resolved and the round fanned out.
+    outstanding: HashMap<NodeId, u8>,
+    failed: Vec<NodeId>,
+    gather: Gather,
 }
 
 /// The per-query coordinator state machine. Every transition consumes
@@ -451,8 +385,7 @@ pub(crate) struct CoordinatorCore {
     /// flooded to all sources instead (Sect. IV-B). Shared so the
     /// serve-mode membership protocol can extend it as peers join.
     flood: SharedFlood,
-    in_flight: HashMap<QueryId, InFlight>,
-    multi: HashMap<QueryId, MultiFlight>,
+    flights: HashMap<QueryId, Flight>,
     counters: LiveCounters,
 }
 
@@ -464,60 +397,23 @@ impl CoordinatorCore {
         space: rdfmesh_chord::IdSpace,
         flood: SharedFlood,
     ) -> Self {
-        CoordinatorCore {
-            me,
-            index,
-            cfg,
-            space,
-            flood,
-            in_flight: HashMap::new(),
-            multi: HashMap::new(),
-            counters: LiveCounters::default(),
-        }
+        let (flights, counters) = (HashMap::new(), LiveCounters::default());
+        CoordinatorCore { me, index, cfg, space, flood, flights, counters }
     }
 
     fn on_event(&mut self, from: NodeId, msg: LiveMsg) -> Vec<Action> {
         match msg {
-            LiveMsg::Submit { qid, pattern } => self.on_submit(qid, pattern, RoundKind::Triples),
-            LiveMsg::SubmitSol { qid, pattern, filter, bound } => {
-                self.on_submit(qid, pattern, RoundKind::Solutions { filter, bound })
+            LiveMsg::Submit { rounds } => {
+                rounds.into_iter().flat_map(|r| self.on_submit(r)).collect()
             }
-            LiveMsg::SubmitSolBatch { rounds } => {
-                let mut actions = Vec::new();
-                for r in rounds {
-                    actions.extend(self.on_submit(
-                        r.qid,
-                        r.pattern,
-                        RoundKind::Solutions { filter: r.filter, bound: r.bound },
-                    ));
-                }
-                actions
-            }
-            LiveMsg::Providers { qid, pattern, providers } => {
-                self.on_providers(qid, pattern, providers)
-            }
-            LiveMsg::Matches { qid, triples } => self.on_matches(qid, from, triples),
-            LiveMsg::Solutions { qid, solutions } => self.on_solutions(qid, from, solutions),
-            LiveMsg::SolutionsBatch { entries } => {
-                let mut actions = Vec::new();
-                for (qid, solutions) in entries {
-                    actions.extend(self.on_solutions(qid, from, solutions));
-                }
-                actions
-            }
-            LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy } => {
-                self.on_submit_multi(qid, patterns, join_vars, strategy)
-            }
-            LiveMsg::MultiProviders { qid, idx, providers } => {
-                self.on_multi_providers(qid, idx, providers)
-            }
-            LiveMsg::PartialMatches { qid, per_pattern } => {
-                self.on_partial_matches(qid, from, per_pattern)
-            }
+            LiveMsg::Providers { qid, slot, providers } => self.on_providers(qid, slot, providers),
+            LiveMsg::Answer { entries } => entries
+                .into_iter()
+                .flat_map(|(qid, sets)| self.on_answer(qid, from, sets))
+                .collect(),
             LiveMsg::Deadline { qid, stage } => match stage {
-                DeadlineStage::Lookup { attempt } => self.on_lookup_timeout(qid, attempt),
-                DeadlineStage::MultiLookup { idx, attempt } => {
-                    self.on_multi_lookup_timeout(qid, idx, attempt)
+                DeadlineStage::Lookup { slot, attempt } => {
+                    self.on_lookup_timeout(qid, slot, attempt)
                 }
                 DeadlineStage::Ack { provider, attempt } => {
                     self.on_ack_timeout(qid, provider, attempt)
@@ -525,415 +421,80 @@ impl CoordinatorCore {
                 DeadlineStage::Overall => self.on_overall_deadline(qid),
             },
             // Strays addressed to other roles are ignored.
-            LiveMsg::Lookup { .. }
-            | LiveMsg::SubQuery { .. }
-            | LiveMsg::SubQuerySol { .. }
-            | LiveMsg::SubQuerySolBatch { .. }
-            | LiveMsg::ProviderDead { .. }
-            | LiveMsg::MultiLookup { .. }
-            | LiveMsg::ShuffleExec { .. }
-            | LiveMsg::ShufflePart { .. }
-            | LiveMsg::PartialExec { .. }
-            | LiveMsg::MultiDone { .. }
-            | LiveMsg::Publish { .. } => Vec::new(),
-        }
-    }
-
-    /// The sub-query message one provider receives, shaped by the
-    /// round's kind. Used by the initial fan-out, retransmissions, and
-    /// the keyless-pattern flood alike.
-    fn subquery_for(&self, qid: QueryId, q: &InFlight) -> LiveMsg {
-        match &q.kind {
-            RoundKind::Triples => {
-                LiveMsg::SubQuery { qid, pattern: q.pattern.clone(), reply_to: self.me }
-            }
-            RoundKind::Solutions { filter, bound } => LiveMsg::SubQuerySol {
-                qid,
-                pattern: q.pattern.clone(),
-                filter: filter.clone(),
-                bound: bound.clone(),
-                reply_to: self.me,
-            },
-        }
-    }
-
-    fn on_submit(&mut self, qid: QueryId, pattern: TriplePattern, kind: RoundKind) -> Vec<Action> {
-        if self.in_flight.contains_key(&qid) {
-            return Vec::new(); // duplicate submission
-        }
-        let keyless = key_for_pattern(self.space, &pattern).is_none();
-        self.in_flight.insert(
-            qid,
-            InFlight {
-                pattern: pattern.clone(),
-                kind,
-                phase: Phase::AwaitProviders,
-                lookup_attempt: 0,
-                outstanding: HashMap::new(),
-                failed: Vec::new(),
-                collected: Vec::new(),
-                collected_solutions: DistinctBuffer::new(),
-            },
-        );
-        if keyless {
-            // No location-table row exists for the all-variable pattern:
-            // skip the lookup and flood every storage node (Sect. IV-B).
-            let flood = rlock(&self.flood).clone();
-            let mut actions = self.on_providers(qid, pattern, flood);
-            actions.push(Action::Schedule {
-                after: self.cfg.query_deadline,
-                msg: LiveMsg::Deadline { qid, stage: DeadlineStage::Overall },
-            });
-            return actions;
-        }
-        vec![
-            Action::Send {
-                to: self.index,
-                msg: LiveMsg::Lookup { qid, pattern, reply_to: self.me },
-            },
-            Action::Schedule {
-                after: self.cfg.lookup_timeout,
-                msg: LiveMsg::Deadline { qid, stage: DeadlineStage::Lookup { attempt: 0 } },
-            },
-            Action::Schedule {
-                after: self.cfg.query_deadline,
-                msg: LiveMsg::Deadline { qid, stage: DeadlineStage::Overall },
-            },
-        ]
-    }
-
-    /// The `pattern` echo in the reply is informational; the sub-queries
-    /// are rebuilt from the round's own state, which the echo must match
-    /// (the index node answers with the looked-up pattern verbatim).
-    fn on_providers(
-        &mut self,
-        qid: QueryId,
-        _pattern: TriplePattern,
-        providers: Vec<NodeId>,
-    ) -> Vec<Action> {
-        let Some(q) = self.in_flight.get_mut(&qid) else {
-            self.counters.stale_replies += 1;
-            return Vec::new();
-        };
-        if q.phase != Phase::AwaitProviders {
-            // E.g. the answer to a retransmitted lookup when the first
-            // answer already arrived.
-            self.counters.stale_replies += 1;
-            return Vec::new();
-        }
-        if providers.is_empty() {
-            return self.finish(qid, true);
-        }
-        q.phase = Phase::Gather;
-        let mut seen = HashSet::new();
-        let mut targets = Vec::new();
-        for p in providers {
-            if seen.insert(p) {
-                q.outstanding.insert(p, 0);
-                targets.push(p);
-            }
-        }
-        let q = &self.in_flight[&qid];
-        let mut actions = Vec::new();
-        for p in targets {
-            actions.push(Action::Send { to: p, msg: self.subquery_for(qid, q) });
-            actions.push(Action::Schedule {
-                after: self.cfg.ack_timeout,
-                msg: LiveMsg::Deadline {
-                    qid,
-                    stage: DeadlineStage::Ack { provider: p, attempt: 0 },
-                },
-            });
-        }
-        actions
-    }
-
-    fn on_matches(&mut self, qid: QueryId, from: NodeId, triples: Vec<Triple>) -> Vec<Action> {
-        let stale = match self.in_flight.get_mut(&qid) {
-            None => true,
-            Some(q) => q.phase != Phase::Gather || q.outstanding.remove(&from).is_none(),
-        };
-        if stale {
-            self.counters.stale_replies += 1;
-            return Vec::new();
-        }
-        let q = self.in_flight.get_mut(&qid).expect("checked in flight");
-        for t in triples {
-            if !q.collected.contains(&t) {
-                q.collected.push(t);
-            }
-        }
-        if q.outstanding.is_empty() {
-            let complete = q.failed.is_empty();
-            return self.finish(qid, complete);
-        }
-        Vec::new()
-    }
-
-    fn on_solutions(&mut self, qid: QueryId, from: NodeId, solutions: Vec<Solution>) -> Vec<Action> {
-        if self.multi.contains_key(&qid) {
-            // A shuffle target's locally-joined fragment.
-            return self.on_multi_solutions(qid, from, solutions);
-        }
-        let stale = match self.in_flight.get_mut(&qid) {
-            None => true,
-            Some(q) => q.phase != Phase::Gather || q.outstanding.remove(&from).is_none(),
-        };
-        if stale {
-            self.counters.stale_replies += 1;
-            return Vec::new();
-        }
-        let q = self.in_flight.get_mut(&qid).expect("checked in flight");
-        q.collected_solutions.extend_distinct(solutions);
-        if q.outstanding.is_empty() {
-            let complete = q.failed.is_empty();
-            return self.finish(qid, complete);
-        }
-        Vec::new()
-    }
-
-    fn on_lookup_timeout(&mut self, qid: QueryId, attempt: u8) -> Vec<Action> {
-        let Some(q) = self.in_flight.get_mut(&qid) else { return Vec::new() };
-        if q.phase != Phase::AwaitProviders || q.lookup_attempt != attempt {
-            return Vec::new(); // answered, or a stale deadline
-        }
-        if attempt < self.cfg.retries {
-            q.lookup_attempt = attempt + 1;
-            self.counters.retries += 1;
-            let pattern = q.pattern.clone();
-            vec![
-                Action::Send {
-                    to: self.index,
-                    msg: LiveMsg::Lookup { qid, pattern, reply_to: self.me },
-                },
-                Action::Schedule {
-                    after: self.cfg.lookup_timeout,
-                    msg: LiveMsg::Deadline {
-                        qid,
-                        stage: DeadlineStage::Lookup { attempt: attempt + 1 },
-                    },
-                },
-            ]
-        } else {
-            self.counters.lookup_failures += 1;
-            self.finish(qid, false)
-        }
-    }
-
-    fn on_ack_timeout(&mut self, qid: QueryId, provider: NodeId, attempt: u8) -> Vec<Action> {
-        if self.multi.contains_key(&qid) {
-            return self.on_multi_ack_timeout(qid, provider, attempt);
-        }
-        let Some(q) = self.in_flight.get_mut(&qid) else { return Vec::new() };
-        if q.phase != Phase::Gather || q.outstanding.get(&provider) != Some(&attempt) {
-            return Vec::new(); // answered, escalated, or a stale deadline
-        }
-        if attempt < self.cfg.retries {
-            q.outstanding.insert(provider, attempt + 1);
-            self.counters.retries += 1;
-            let q = &self.in_flight[&qid];
-            vec![
-                Action::Send { to: provider, msg: self.subquery_for(qid, q) },
-                Action::Schedule {
-                    after: self.cfg.ack_timeout,
-                    msg: LiveMsg::Deadline {
-                        qid,
-                        stage: DeadlineStage::Ack { provider, attempt: attempt + 1 },
-                    },
-                },
-            ]
-        } else {
-            q.outstanding.remove(&provider);
-            q.failed.push(provider);
-            self.counters.ack_timeouts += 1;
-            let mut actions = vec![Action::Send {
-                to: self.index,
-                msg: LiveMsg::ProviderDead { pattern: q.pattern.clone(), provider },
-            }];
-            if q.outstanding.is_empty() {
-                actions.extend(self.finish(qid, false));
-            }
-            actions
-        }
-    }
-
-    fn on_overall_deadline(&mut self, qid: QueryId) -> Vec<Action> {
-        if let Some(q) = self.multi.get_mut(&qid) {
-            let mut remaining: Vec<NodeId> = q.outstanding.keys().copied().collect();
-            remaining.sort();
-            q.failed.extend(remaining);
-            q.outstanding.clear();
-            return self.finish_multi(qid, false);
-        }
-        let Some(q) = self.in_flight.get_mut(&qid) else { return Vec::new() };
-        // Whatever is still outstanding has failed; no ProviderDead here —
-        // the backstop fires on slow queries too, and purging the table on
-        // a merely-slow provider would be too eager (Sect. III-D purges
-        // only after the per-provider ack timeout).
-        let mut remaining: Vec<NodeId> = q.outstanding.keys().copied().collect();
-        remaining.sort();
-        q.failed.extend(remaining);
-        q.outstanding.clear();
-        self.finish(qid, false)
-    }
-
-    /// A synchronously failed send is an immediate ack timeout at the
-    /// target's current attempt (Sect. III-D): the transport already
-    /// knows the peer is unreachable, so waiting out the deadline would
-    /// only delay the retry/purge.
-    fn on_send_failed(&mut self, to: NodeId, msg: LiveMsg) -> Vec<Action> {
-        self.counters.send_failures += 1;
-        match msg {
-            LiveMsg::SubQuery { qid, .. } | LiveMsg::SubQuerySol { qid, .. } => {
-                match self.in_flight.get(&qid).and_then(|q| q.outstanding.get(&to)).copied() {
-                    Some(attempt) => self.on_ack_timeout(qid, to, attempt),
-                    None => Vec::new(),
-                }
-            }
-            // One failed frame fails every round it carried: each
-            // becomes an immediate ack timeout at its current attempt.
-            LiveMsg::SubQuerySolBatch { rounds, .. } => {
-                let mut actions = Vec::new();
-                for r in rounds {
-                    if let Some(attempt) =
-                        self.in_flight.get(&r.qid).and_then(|q| q.outstanding.get(&to)).copied()
-                    {
-                        actions.extend(self.on_ack_timeout(r.qid, to, attempt));
-                    }
-                }
-                actions
-            }
-            LiveMsg::Lookup { qid, .. } => match self.in_flight.get(&qid).map(|q| q.lookup_attempt)
-            {
-                Some(attempt) => self.on_lookup_timeout(qid, attempt),
-                None => Vec::new(),
-            },
-            LiveMsg::ShuffleExec { qid, .. } | LiveMsg::PartialExec { qid, .. } => {
-                match self.multi.get(&qid).and_then(|q| q.outstanding.get(&to)).copied() {
-                    Some(attempt) => self.on_multi_ack_timeout(qid, to, attempt),
-                    None => Vec::new(),
-                }
-            }
-            LiveMsg::MultiLookup { qid, idx, .. } => {
-                match self.multi.get(&qid).and_then(|q| q.lookup_attempts.get(idx as usize)).copied()
-                {
-                    Some(attempt) => self.on_multi_lookup_timeout(qid, idx, attempt),
-                    None => Vec::new(),
-                }
-            }
-            // A lost ProviderDead or MultiDone only postpones lazy cleanup.
             _ => Vec::new(),
         }
     }
 
-    fn finish(&mut self, qid: QueryId, complete: bool) -> Vec<Action> {
-        let Some(q) = self.in_flight.remove(&qid) else { return Vec::new() };
-        if !complete {
-            self.counters.incomplete_queries += 1;
-        }
-        vec![Action::Finish {
-            qid,
-            answer: LiveAnswer {
-                triples: q.collected,
-                solutions: q.collected_solutions.into_vec(),
-                complete,
-                failed_providers: q.failed,
+    /// The lookup of `slot` at the index node, with its deadline.
+    fn lookup(&self, qid: QueryId, slot: usize, attempt: u8) -> Vec<Action> {
+        let pattern = self.flights[&qid].round.patterns[slot].clone();
+        let slot = slot as u32;
+        vec![
+            Action::Send {
+                to: self.index,
+                msg: LiveMsg::Lookup { qid, slot, pattern, reply_to: self.me },
             },
-        }]
+            Action::Schedule {
+                after: self.cfg.lookup_timeout,
+                msg: LiveMsg::Deadline { qid, stage: DeadlineStage::Lookup { slot, attempt } },
+            },
+        ]
     }
 
-    // ---- the multiway round (HyperCube / partial evaluation) ---------
-
-    /// The exec frame one provider of a multiway round receives, shaped
-    /// by the round's strategy. Used by the fan-out and retransmissions.
-    fn multi_subquery_for(&self, qid: QueryId, q: &MultiFlight) -> LiveMsg {
-        match q.strategy {
-            DistStrategy::HyperCube => LiveMsg::ShuffleExec {
-                qid,
-                round: q.round,
-                patterns: q.patterns.clone(),
-                join_vars: q.join_vars.clone(),
-                peers: q.peers.clone(),
-                reply_to: self.me,
+    /// The round shipped to one provider, with its ack deadline. Used by
+    /// the fan-out, retransmissions and HyperCube restarts alike.
+    fn exec(&self, qid: QueryId, provider: NodeId, attempt: u8) -> Vec<Action> {
+        vec![
+            Action::Exec { to: provider, round: self.flights[&qid].round.clone() },
+            Action::Schedule {
+                after: self.cfg.ack_timeout,
+                msg: LiveMsg::Deadline { qid, stage: DeadlineStage::Ack { provider, attempt } },
             },
-            _ => LiveMsg::PartialExec { qid, patterns: q.patterns.clone(), reply_to: self.me },
-        }
+        ]
     }
 
-    fn on_submit_multi(
-        &mut self,
-        qid: QueryId,
-        patterns: Vec<TriplePattern>,
-        join_vars: Vec<Variable>,
-        strategy: DistStrategy,
-    ) -> Vec<Action> {
-        if self.multi.contains_key(&qid) || self.in_flight.contains_key(&qid) {
+    fn on_submit(&mut self, round: Round) -> Vec<Action> {
+        let qid = round.qid;
+        if self.flights.contains_key(&qid) {
             return Vec::new(); // duplicate submission
         }
-        if patterns.is_empty() {
-            return vec![Action::Finish {
-                qid,
-                answer: LiveAnswer {
-                    triples: Vec::new(),
-                    solutions: Vec::new(),
-                    complete: true,
-                    failed_providers: Vec::new(),
-                },
-            }];
+        let n = round.patterns.len();
+        if n == 0 {
+            let answer =
+                LiveAnswer { solutions: Vec::new(), complete: true, failed_providers: Vec::new() };
+            return vec![Action::Finish { qid, answer }];
         }
-        let n = patterns.len();
-        self.multi.insert(
-            qid,
-            MultiFlight {
-                patterns: patterns.clone(),
-                join_vars,
-                strategy,
-                phase: Phase::AwaitProviders,
-                lookup_attempts: vec![0; n],
-                providers: vec![None; n],
-                peers: Vec::new(),
-                round: 0,
-                outstanding: HashMap::new(),
-                failed: Vec::new(),
-                collected: DistinctBuffer::new(),
-                per_pattern: (0..n).map(|_| DistinctBuffer::new()).collect(),
-                local_complete: DistinctBuffer::new(),
+        let gather = match round.strategy {
+            RoundStrategy::PartialEval => Gather::Assembly {
+                slots: (0..n).map(|_| DistinctBuffer::new()).collect(),
+                local: DistinctBuffer::new(),
             },
-        );
+            _ => Gather::Union(DistinctBuffer::new()),
+        };
+        let keyless: Vec<bool> =
+            round.patterns.iter().map(|p| key_for_pattern(self.space, p).is_none()).collect();
+        let flight = Flight {
+            round,
+            lookups: vec![0; n],
+            providers: vec![None; n],
+            outstanding: HashMap::new(),
+            failed: Vec::new(),
+            gather,
+        };
+        self.flights.insert(qid, flight);
         let mut actions = Vec::new();
-        for (idx, pattern) in patterns.iter().enumerate() {
-            let idx = idx as u32;
-            if key_for_pattern(self.space, pattern).is_none() {
-                // Keyless slot (the planner avoids these, but the wire
-                // allows them): flood every storage node, no lookup.
+        for (slot, keyless) in keyless.into_iter().enumerate() {
+            if keyless {
+                // No location-table row exists for the all-variable
+                // pattern: skip the lookup and flood every storage node
+                // (Sect. IV-B). An empty flood list finishes the round.
                 let flood = rlock(&self.flood).clone();
-                actions.extend(self.on_multi_providers(qid, idx, flood));
-                // The round may already have finished (an empty flood
-                // list finishes it complete-and-empty).
-                if !self.multi.contains_key(&qid) {
-                    actions.push(Action::Schedule {
-                        after: self.cfg.query_deadline,
-                        msg: LiveMsg::Deadline { qid, stage: DeadlineStage::Overall },
-                    });
-                    return actions;
+                actions.extend(self.on_providers(qid, slot as u32, flood));
+                if !self.flights.contains_key(&qid) {
+                    break;
                 }
             } else {
-                actions.push(Action::Send {
-                    to: self.index,
-                    msg: LiveMsg::MultiLookup {
-                        qid,
-                        idx,
-                        pattern: pattern.clone(),
-                        reply_to: self.me,
-                    },
-                });
-                actions.push(Action::Schedule {
-                    after: self.cfg.lookup_timeout,
-                    msg: LiveMsg::Deadline {
-                        qid,
-                        stage: DeadlineStage::MultiLookup { idx, attempt: 0 },
-                    },
-                });
+                actions.extend(self.lookup(qid, slot, 0));
             }
         }
         actions.push(Action::Schedule {
@@ -943,267 +504,188 @@ impl CoordinatorCore {
         actions
     }
 
-    fn on_multi_providers(&mut self, qid: QueryId, idx: u32, providers: Vec<NodeId>) -> Vec<Action> {
-        let i = idx as usize;
-        let stale = match self.multi.get(&qid) {
-            None => true,
-            Some(q) => q.phase != Phase::AwaitProviders || i >= q.providers.len()
-                || q.providers[i].is_some(),
+    fn on_providers(&mut self, qid: QueryId, slot: u32, providers: Vec<NodeId>) -> Vec<Action> {
+        let i = slot as usize;
+        // Stale unless the slot exists and is still unresolved — e.g. the
+        // answer to a retransmitted lookup when the first one arrived.
+        let Some(f) =
+            self.flights.get_mut(&qid).filter(|f| matches!(f.providers.get(i), Some(None)))
+        else {
+            self.counters.stale_replies += 1;
+            return Vec::new();
         };
-        if stale {
+        if providers.is_empty() {
+            // The slot matches nothing, so the conjunction is empty — a
+            // complete answer, no provider contacted.
+            return self.finish(qid, true);
+        }
+        let mut seen = HashSet::new();
+        f.providers[i] = Some(providers.into_iter().filter(|p| seen.insert(*p)).collect());
+        if f.providers.iter().any(Option::is_none) {
+            return Vec::new(); // other slots still resolving
+        }
+        // Every slot resolved: fan the round out to the provider union.
+        let mut targets: Vec<NodeId> = f.providers.iter().flatten().flatten().copied().collect();
+        targets.sort();
+        targets.dedup();
+        if let RoundStrategy::HyperCube { peers, .. } = &mut f.round.strategy {
+            peers.clone_from(&targets);
+        }
+        f.outstanding = targets.iter().map(|p| (*p, 0)).collect();
+        targets.into_iter().flat_map(|p| self.exec(qid, p, 0)).collect()
+    }
+
+    /// One provider's answer to one round. The flight is looked up once
+    /// and the solution sets move into the gather.
+    fn on_answer(&mut self, qid: QueryId, from: NodeId, sets: Vec<Vec<Solution>>) -> Vec<Action> {
+        let Some(f) = self.flights.get_mut(&qid) else {
+            self.counters.stale_replies += 1;
+            return Vec::new();
+        };
+        // Only an awaited provider's reply counts, and only once.
+        if !f.outstanding.contains_key(&from) || !f.gather.absorb(sets) {
             self.counters.stale_replies += 1;
             return Vec::new();
         }
-        if providers.is_empty() {
-            // One pattern matches nothing, so the conjunction is empty —
-            // a complete answer, no provider contacted.
-            return self.finish_multi(qid, true);
+        f.outstanding.remove(&from);
+        if f.outstanding.is_empty() {
+            let complete = f.failed.is_empty();
+            return self.finish(qid, complete);
         }
-        let q = self.multi.get_mut(&qid).expect("checked in flight");
-        let mut seen = HashSet::new();
-        let mut dedup = Vec::new();
-        for p in providers {
-            if seen.insert(p) {
-                dedup.push(p);
-            }
+        Vec::new()
+    }
+
+    fn on_lookup_timeout(&mut self, qid: QueryId, slot: u32, attempt: u8) -> Vec<Action> {
+        let i = slot as usize;
+        let Some(f) = self.flights.get_mut(&qid) else { return Vec::new() };
+        if !matches!(f.providers.get(i), Some(None)) || f.lookups[i] != attempt {
+            return Vec::new(); // answered, or a stale deadline
         }
-        q.providers[i] = Some(dedup);
-        if q.providers.iter().any(|slot| slot.is_none()) {
-            return Vec::new(); // other slots still resolving
+        if attempt < self.cfg.retries {
+            f.lookups[i] = attempt + 1;
+            self.counters.retries += 1;
+            self.lookup(qid, i, attempt + 1)
+        } else {
+            self.counters.lookup_failures += 1;
+            self.finish(qid, false)
         }
-        // Every slot resolved: fan the exec frames out to the union.
-        q.phase = Phase::Gather;
-        let mut peers: Vec<NodeId> = Vec::new();
-        let mut seen = HashSet::new();
-        for slot in &q.providers {
-            for p in slot.as_deref().unwrap_or_default() {
-                if seen.insert(*p) {
-                    peers.push(*p);
-                }
-            }
+    }
+
+    fn on_ack_timeout(&mut self, qid: QueryId, provider: NodeId, attempt: u8) -> Vec<Action> {
+        let Some(f) = self.flights.get_mut(&qid) else { return Vec::new() };
+        if f.outstanding.get(&provider) != Some(&attempt) {
+            return Vec::new(); // answered, escalated, or a stale deadline
         }
-        peers.sort();
-        for p in &peers {
-            q.outstanding.insert(*p, 0);
+        if attempt < self.cfg.retries {
+            f.outstanding.insert(provider, attempt + 1);
+            self.counters.retries += 1;
+            return self.exec(qid, provider, attempt + 1);
         }
-        q.peers = peers.clone();
-        let q = &self.multi[&qid];
-        let mut actions = Vec::new();
-        for p in peers {
-            actions.push(Action::Send { to: p, msg: self.multi_subquery_for(qid, q) });
-            actions.push(Action::Schedule {
-                after: self.cfg.ack_timeout,
-                msg: LiveMsg::Deadline {
-                    qid,
-                    stage: DeadlineStage::Ack { provider: p, attempt: 0 },
-                },
-            });
+        f.outstanding.remove(&provider);
+        f.failed.push(provider);
+        self.counters.ack_timeouts += 1;
+        // Purge the dead provider from every slot row that named it —
+        // each slot's key may live at a different index owner.
+        let index = self.index;
+        let mut actions: Vec<Action> = f
+            .providers
+            .iter()
+            .zip(&f.round.patterns)
+            .filter(|(slot, _)| slot.as_deref().is_some_and(|ps| ps.contains(&provider)))
+            .map(|(_, pattern)| Action::Send {
+                to: index,
+                msg: LiveMsg::ProviderDead { pattern: pattern.clone(), provider },
+            })
+            .collect();
+        // A HyperCube generation cannot finish without every peer's
+        // partitions — the surviving targets are stalled waiting for the
+        // dead peer's scatter. Re-issue the round over the survivors
+        // under a bumped generation; partitions from the abandoned one
+        // are fenced off by the generation tag.
+        let mut restart = Vec::new();
+        if let RoundStrategy::HyperCube { generation, peers, .. } = &mut f.round.strategy {
+            peers.retain(|p| *p != provider);
+            *generation += 1;
+            f.outstanding = peers.iter().map(|p| (*p, 0)).collect();
+            restart.clone_from(peers);
+        }
+        if f.outstanding.is_empty() {
+            actions.extend(self.finish(qid, false));
+        } else {
+            actions.extend(restart.into_iter().flat_map(|p| self.exec(qid, p, 0)));
         }
         actions
     }
 
-    /// A shuffle target's locally-joined fragment (HyperCube gathers
-    /// through plain [`LiveMsg::Solutions`] frames).
-    fn on_multi_solutions(
-        &mut self,
-        qid: QueryId,
-        from: NodeId,
-        solutions: Vec<Solution>,
-    ) -> Vec<Action> {
-        let stale = match self.multi.get_mut(&qid) {
-            None => true,
-            Some(q) => q.phase != Phase::Gather || q.outstanding.remove(&from).is_none(),
-        };
-        if stale {
-            self.counters.stale_replies += 1;
-            return Vec::new();
-        }
-        let q = self.multi.get_mut(&qid).expect("checked in flight");
-        q.collected.extend_distinct(solutions);
-        if q.outstanding.is_empty() {
-            let complete = q.failed.is_empty();
-            return self.finish_multi(qid, complete);
-        }
-        Vec::new()
+    fn on_overall_deadline(&mut self, qid: QueryId) -> Vec<Action> {
+        let Some(f) = self.flights.get_mut(&qid) else { return Vec::new() };
+        // Whatever is still outstanding has failed; no ProviderDead here —
+        // the backstop fires on slow queries too, and purging the table on
+        // a merely-slow provider would be too eager (Sect. III-D purges
+        // only after the per-provider ack timeout).
+        let mut remaining: Vec<NodeId> = f.outstanding.drain().map(|(p, _)| p).collect();
+        remaining.sort();
+        f.failed.extend(remaining);
+        self.finish(qid, false)
     }
 
-    fn on_partial_matches(
-        &mut self,
-        qid: QueryId,
-        from: NodeId,
-        per_pattern: Vec<Vec<Solution>>,
-    ) -> Vec<Action> {
-        let stale = match self.multi.get_mut(&qid) {
-            None => true,
-            Some(q) => q.phase != Phase::Gather
-                || per_pattern.len() != q.per_pattern.len()
-                || q.outstanding.remove(&from).is_none(),
-        };
-        if stale {
-            self.counters.stale_replies += 1;
-            return Vec::new();
-        }
-        let q = self.multi.get_mut(&qid).expect("checked in flight");
-        // The provider's own cross-pattern join: everything it could
-        // answer without help. Assembly rows beyond the union of these
-        // are the stitched cross-site matches.
-        let mut local = vec![Solution::new()];
-        for (buf, sols) in q.per_pattern.iter_mut().zip(&per_pattern) {
-            let mut mine = DistinctBuffer::new();
-            for s in sols {
-                mine.push(s.clone());
-                buf.push(s.clone());
-            }
-            local = rdfmesh_sparql::solution::join(&local, mine.as_slice());
-        }
-        q.local_complete.extend_distinct(local);
-        if q.outstanding.is_empty() {
-            let complete = q.failed.is_empty();
-            return self.finish_multi(qid, complete);
-        }
-        Vec::new()
-    }
-
-    fn on_multi_lookup_timeout(&mut self, qid: QueryId, idx: u32, attempt: u8) -> Vec<Action> {
-        let i = idx as usize;
-        let Some(q) = self.multi.get_mut(&qid) else { return Vec::new() };
-        if q.phase != Phase::AwaitProviders
-            || i >= q.lookup_attempts.len()
-            || q.providers[i].is_some()
-            || q.lookup_attempts[i] != attempt
-        {
-            return Vec::new(); // answered, or a stale deadline
-        }
-        if attempt < self.cfg.retries {
-            q.lookup_attempts[i] = attempt + 1;
-            self.counters.retries += 1;
-            let pattern = q.patterns[i].clone();
-            vec![
-                Action::Send {
-                    to: self.index,
-                    msg: LiveMsg::MultiLookup { qid, idx, pattern, reply_to: self.me },
-                },
-                Action::Schedule {
-                    after: self.cfg.lookup_timeout,
-                    msg: LiveMsg::Deadline {
-                        qid,
-                        stage: DeadlineStage::MultiLookup { idx, attempt: attempt + 1 },
-                    },
-                },
-            ]
-        } else {
-            self.counters.lookup_failures += 1;
-            self.finish_multi(qid, false)
+    /// A synchronously failed send is an immediate timeout (Sect. III-D):
+    /// the transport already knows the peer is unreachable, so waiting
+    /// out the deadline would only delay the retry/purge. A failed lookup
+    /// times out its slot; a lost `ProviderDead` or `Done` only postpones
+    /// lazy cleanup.
+    fn on_send_failed(&mut self, msg: &LiveMsg) -> Vec<Action> {
+        self.counters.send_failures += 1;
+        let LiveMsg::Lookup { qid, slot, .. } = *msg else { return Vec::new() };
+        match self.flights.get(&qid).and_then(|f| f.lookups.get(slot as usize)).copied() {
+            Some(attempt) => self.on_lookup_timeout(qid, slot, attempt),
+            None => Vec::new(),
         }
     }
 
-    fn on_multi_ack_timeout(&mut self, qid: QueryId, provider: NodeId, attempt: u8) -> Vec<Action> {
-        let Some(q) = self.multi.get_mut(&qid) else { return Vec::new() };
-        if q.phase != Phase::Gather || q.outstanding.get(&provider) != Some(&attempt) {
-            return Vec::new(); // answered, escalated, or a stale deadline
-        }
-        if attempt < self.cfg.retries {
-            q.outstanding.insert(provider, attempt + 1);
-            self.counters.retries += 1;
-            let q = &self.multi[&qid];
-            vec![
-                Action::Send { to: provider, msg: self.multi_subquery_for(qid, q) },
-                Action::Schedule {
-                    after: self.cfg.ack_timeout,
-                    msg: LiveMsg::Deadline {
-                        qid,
-                        stage: DeadlineStage::Ack { provider, attempt: attempt + 1 },
-                    },
-                },
-            ]
-        } else {
-            q.outstanding.remove(&provider);
-            q.failed.push(provider);
-            self.counters.ack_timeouts += 1;
-            // Purge the dead provider from every pattern row that named
-            // it — each slot's key may live at a different index owner.
-            let dead_for: Vec<TriplePattern> = q
-                .providers
-                .iter()
-                .zip(&q.patterns)
-                .filter(|(slot, _)| slot.as_deref().is_some_and(|ps| ps.contains(&provider)))
-                .map(|(_, pattern)| pattern.clone())
-                .collect();
-            // A HyperCube generation cannot finish without every peer's
-            // partitions — the surviving targets are stalled waiting for
-            // the dead peer's scatter. Re-issue the round over the
-            // survivors under a bumped generation; partitions from the
-            // abandoned one are fenced off by the round tag.
-            let restart = q.strategy == DistStrategy::HyperCube;
-            if restart {
-                q.peers.retain(|p| *p != provider);
-                q.round += 1;
-                q.outstanding = q.peers.iter().map(|p| (*p, 0)).collect();
-            }
-            let done = q.outstanding.is_empty();
-            let mut actions: Vec<Action> = dead_for
-                .into_iter()
-                .map(|pattern| Action::Send {
-                    to: self.index,
-                    msg: LiveMsg::ProviderDead { pattern, provider },
-                })
-                .collect();
-            if done {
-                actions.extend(self.finish_multi(qid, false));
-            } else if restart {
-                let q = &self.multi[&qid];
-                let peers = q.peers.clone();
-                for p in peers {
-                    actions.push(Action::Send { to: p, msg: self.multi_subquery_for(qid, q) });
-                    actions.push(Action::Schedule {
-                        after: self.cfg.ack_timeout,
-                        msg: LiveMsg::Deadline {
-                            qid,
-                            stage: DeadlineStage::Ack { provider: p, attempt: 0 },
-                        },
-                    });
+    /// A failed exec frame to `to` fails every round it carried (`qids`):
+    /// each becomes an immediate ack timeout at its current attempt.
+    fn on_exec_failed(&mut self, to: NodeId, qids: &[QueryId]) -> Vec<Action> {
+        self.counters.send_failures += 1;
+        qids.iter()
+            .flat_map(|&qid| {
+                match self.flights.get(&qid).and_then(|f| f.outstanding.get(&to)).copied() {
+                    Some(attempt) => self.on_ack_timeout(qid, to, attempt),
+                    None => Vec::new(),
                 }
-            }
-            actions
-        }
+            })
+            .collect()
     }
 
-    fn finish_multi(&mut self, qid: QueryId, complete: bool) -> Vec<Action> {
-        let Some(q) = self.multi.remove(&qid) else { return Vec::new() };
+    fn finish(&mut self, qid: QueryId, complete: bool) -> Vec<Action> {
+        let Some(f) = self.flights.remove(&qid) else { return Vec::new() };
         if !complete {
             self.counters.incomplete_queries += 1;
         }
-        let solutions = match q.strategy {
-            DistStrategy::HyperCube => q.collected.into_vec(),
-            _ => {
-                // Assembly (partial evaluation): fold-join the deduped
-                // per-pattern unions in pattern order.
+        let solutions = match f.gather {
+            Gather::Union(buf) => buf.into_vec(),
+            Gather::Assembly { slots, local } => {
+                // Assembly: fold-join the deduped per-slot unions in
+                // slot order.
                 let mut acc = vec![Solution::new()];
-                for buf in &q.per_pattern {
-                    acc = rdfmesh_sparql::solution::join(&acc, buf.as_slice());
+                for buf in &slots {
+                    acc = join(&acc, buf.as_slice());
                 }
                 let mut assembled = DistinctBuffer::new();
                 assembled.extend_distinct(acc);
-                self.counters.stitched_rows +=
-                    assembled.len().saturating_sub(q.local_complete.len()) as u64;
+                self.counters.stitched_rows += assembled.len().saturating_sub(local.len()) as u64;
                 assembled.into_vec()
             }
         };
-        // Let the providers retire any retained shuffle state.
-        let mut actions: Vec<Action> = q
-            .peers
-            .iter()
-            .map(|p| Action::Send { to: *p, msg: LiveMsg::MultiDone { qid } })
-            .collect();
-        actions.push(Action::Finish {
-            qid,
-            answer: LiveAnswer {
-                triples: Vec::new(),
-                solutions,
-                complete,
-                failed_providers: q.failed,
-            },
-        });
+        // Let the shuffle peers retire their retained state.
+        let mut actions: Vec<Action> = match &f.round.strategy {
+            RoundStrategy::HyperCube { peers, .. } => {
+                peers.iter().map(|p| Action::Send { to: *p, msg: LiveMsg::Done { qid } }).collect()
+            }
+            _ => Vec::new(),
+        };
+        let answer = LiveAnswer { solutions, complete, failed_providers: f.failed };
+        actions.push(Action::Finish { qid, answer });
         actions
     }
 }
@@ -1235,45 +717,44 @@ pub(crate) fn wlock<T>(m: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 /// (turning failed sends back into events), and hands finished answers
 /// to the waiting caller.
 pub(crate) struct Coordinator {
-    pub(crate) core: CoordinatorCore,
-    pub(crate) pending: PendingMap,
-    pub(crate) shared: Arc<LiveStats>,
-    pub(crate) synced: LiveCounters,
+    core: CoordinatorCore,
+    pending: PendingMap,
+    shared: Arc<LiveStats>,
+    synced: LiveCounters,
 }
 
 impl Coordinator {
-    /// Executes the state machine's actions. Solution sub-queries are
-    /// not sent one by one: within one handler turn every
-    /// `SubQuerySol` bound for the same storage node is buffered and
-    /// flushed as a single frame — a lone round keeps its original
-    /// message (byte-identical to the unbatched protocol, which is what
-    /// the E17/E18 parity experiments pin down), while two or more
-    /// coalesce into a [`LiveMsg::SubQuerySolBatch`]. A failed flush
-    /// feeds back into the state machine per carried round, which may
-    /// buffer retransmissions — hence the outer loop.
+    pub(crate) fn new(core: CoordinatorCore, pending: PendingMap, shared: Arc<LiveStats>) -> Self {
+        Coordinator { core, pending, shared, synced: LiveCounters::default() }
+    }
+
+    /// Executes the state machine's actions. Execs are not sent one by
+    /// one: within one handler turn every round bound for the same
+    /// storage node is buffered and flushed as a single
+    /// [`LiveMsg::Exec`] frame. A failed flush feeds back into the state
+    /// machine per carried round, which may buffer retransmissions —
+    /// hence the outer loop.
     fn run(&mut self, first: Vec<Action>, out: &Outbox<LiveMsg>) {
         let mut actions: VecDeque<Action> = first.into();
         loop {
-            let mut buffered: Vec<(NodeId, Vec<SolRound>)> = Vec::new();
+            let mut buffered: Vec<(NodeId, Vec<Round>)> = Vec::new();
             while let Some(action) = actions.pop_front() {
                 match action {
-                    Action::Send {
-                        to,
-                        msg: LiveMsg::SubQuerySol { qid, pattern, filter, bound, .. },
-                    } => {
-                        let round = SolRound { qid, pattern, filter, bound };
-                        match buffered.iter_mut().find(|(node, _)| *node == to) {
-                            Some((_, rounds)) => rounds.push(round),
-                            None => buffered.push((to, vec![round])),
-                        }
-                    }
+                    Action::Exec { to, round } => match buffered.iter_mut().find(|(n, _)| *n == to)
+                    {
+                        Some((_, rounds)) => rounds.push(round),
+                        None => buffered.push((to, vec![round])),
+                    },
                     Action::Send { to, msg } => {
                         if !out.send(to, msg.clone()) {
-                            actions.extend(self.core.on_send_failed(to, msg));
+                            actions.extend(self.core.on_send_failed(&msg));
                         }
                     }
                     Action::Schedule { after, msg } => out.schedule(after, msg),
                     Action::Finish { qid, answer } => {
+                        // Counters first, so a caller woken by the answer
+                        // sees every fault that shaped it.
+                        self.sync_counters();
                         // Removing the sender is what makes "done" single-shot.
                         if let Some(tx) = lock(&self.pending).remove(&qid) {
                             let _ = tx.send(answer);
@@ -1284,27 +765,15 @@ impl Coordinator {
             if buffered.is_empty() {
                 break;
             }
-            for (to, mut rounds) in buffered {
-                let msg = if rounds.len() == 1 {
-                    let r = rounds.pop().expect("one round");
-                    LiveMsg::SubQuerySol {
-                        qid: r.qid,
-                        pattern: r.pattern,
-                        filter: r.filter,
-                        bound: r.bound,
-                        reply_to: self.core.me,
-                    }
-                } else {
+            for (to, rounds) in buffered {
+                if rounds.len() > 1 {
                     self.shared.add_batches(1);
                     self.shared.add_batched_rounds(rounds.len() as u64);
-                    LiveMsg::SubQuerySolBatch { rounds, reply_to: self.core.me }
-                };
-                if !out.send(to, msg.clone()) {
-                    actions.extend(self.core.on_send_failed(to, msg));
                 }
-            }
-            if actions.is_empty() {
-                break;
+                let qids: Vec<QueryId> = rounds.iter().map(|r| r.qid).collect();
+                if !out.send(to, LiveMsg::Exec { rounds, reply_to: self.core.me }) {
+                    actions.extend(self.core.on_exec_failed(to, &qids));
+                }
             }
         }
         self.sync_counters();
@@ -1345,12 +814,6 @@ pub(crate) struct IndexNode {
     pub(crate) stats: Arc<LiveStats>,
 }
 
-impl IndexNode {
-    fn owner_of(&self, key: u64) -> NodeId {
-        owner_in_view(&rlock(&self.ring_view), key)
-    }
-}
-
 pub(crate) fn owner_in_view(ring_view: &[(u64, NodeId)], key: u64) -> NodeId {
     ring_view
         .iter()
@@ -1362,52 +825,25 @@ pub(crate) fn owner_in_view(ring_view: &[(u64, NodeId)], key: u64) -> NodeId {
 
 impl Handler<LiveMsg> for IndexNode {
     fn on_message(&mut self, envelope: Envelope<LiveMsg>, out: &Outbox<LiveMsg>) {
+        let owner_of = |key: u64| owner_in_view(&rlock(&self.ring_view), key);
         match envelope.payload {
-            LiveMsg::Lookup { qid, pattern, reply_to } => {
-                match key_for_pattern(self.space, &pattern) {
-                    None => {
-                        out.send(
-                            reply_to,
-                            LiveMsg::Providers { qid, pattern, providers: Vec::new() },
-                        );
-                    }
+            LiveMsg::Lookup { qid, slot, pattern, reply_to } => {
+                let providers = match key_for_pattern(self.space, &pattern) {
+                    None => Vec::new(),
                     Some(k) => {
-                        let owner = self.owner_of(k.id.0);
-                        if owner == out.me() {
-                            let providers =
-                                lock(&self.table).get(&k.id.0).cloned().unwrap_or_default();
-                            out.send(reply_to, LiveMsg::Providers { qid, pattern, providers });
-                        } else {
-                            out.send(owner, LiveMsg::Lookup { qid, pattern, reply_to });
+                        let owner = owner_of(k.id.0);
+                        if owner != out.me() {
+                            out.send(owner, LiveMsg::Lookup { qid, slot, pattern, reply_to });
+                            return;
                         }
+                        lock(&self.table).get(&k.id.0).cloned().unwrap_or_default()
                     }
-                }
-            }
-            LiveMsg::MultiLookup { qid, idx, pattern, reply_to } => {
-                // Same owner routing as a plain lookup; the reply echoes
-                // the pattern slot so the coordinator can fill it in.
-                match key_for_pattern(self.space, &pattern) {
-                    None => {
-                        out.send(
-                            reply_to,
-                            LiveMsg::MultiProviders { qid, idx, providers: Vec::new() },
-                        );
-                    }
-                    Some(k) => {
-                        let owner = self.owner_of(k.id.0);
-                        if owner == out.me() {
-                            let providers =
-                                lock(&self.table).get(&k.id.0).cloned().unwrap_or_default();
-                            out.send(reply_to, LiveMsg::MultiProviders { qid, idx, providers });
-                        } else {
-                            out.send(owner, LiveMsg::MultiLookup { qid, idx, pattern, reply_to });
-                        }
-                    }
-                }
+                };
+                out.send(reply_to, LiveMsg::Providers { qid, slot, providers });
             }
             LiveMsg::ProviderDead { pattern, provider } => {
                 let Some(k) = key_for_pattern(self.space, &pattern) else { return };
-                let owner = self.owner_of(k.id.0);
+                let owner = owner_of(k.id.0);
                 if owner != out.me() {
                     out.send(owner, LiveMsg::ProviderDead { pattern, provider });
                     return;
@@ -1441,29 +877,29 @@ impl Handler<LiveMsg> for IndexNode {
     }
 }
 
-/// Per-query state a storage node keeps while a HyperCube shuffle is in
-/// flight: the exec frame and its peers' partitions can arrive in any
-/// order, and a retransmitted exec must re-ship the finished answer
-/// instead of re-scattering partitions.
-/// The retained copy of a [`LiveMsg::ShuffleExec`] frame's fields.
+/// The retained copy of a HyperCube exec's fields (`join_vars` are
+/// consumed by the scatter and not retained).
 #[derive(Debug)]
-pub(crate) struct ShuffleExecFrame {
+struct ShuffleExecFrame {
     patterns: Vec<TriplePattern>,
     peers: Vec<NodeId>,
     reply_to: NodeId,
 }
 
+/// Per-query state a storage node keeps while a HyperCube shuffle is in
+/// flight: the exec and its peers' partitions can arrive in any order,
+/// and a retransmitted exec must re-ship the finished answer instead of
+/// re-scattering partitions.
 #[derive(Debug, Default)]
-pub(crate) struct ShuffleState {
+struct ShuffleState {
     /// The shuffle generation the retained state belongs to. Frames
     /// tagged with a newer generation supersede everything here (the
     /// coordinator restarted the round over the surviving peers); frames
     /// from an older one are dropped.
-    round: u32,
-    /// The exec frame's fields, once it arrived (`join_vars` are
-    /// consumed by the scatter and not retained).
+    generation: u32,
+    /// The exec's fields, once it arrived.
     exec: Option<ShuffleExecFrame>,
-    /// origin peer → its per-pattern partitions destined for this node.
+    /// origin peer → its per-slot partitions destined for this node.
     /// Keyed by origin, so a retransmitted partition frame is idempotent.
     received: HashMap<NodeId, Vec<Vec<Solution>>>,
     /// The shipped local join, kept for retransmit resends.
@@ -1471,36 +907,52 @@ pub(crate) struct ShuffleState {
 }
 
 /// Shuffle entries for more queries than this trigger an eviction of
-/// finished entries — the backstop for lost [`LiveMsg::MultiDone`]s.
+/// finished entries — the backstop for lost [`LiveMsg::Done`]s.
 const SHUFFLE_STATE_CAP: usize = 1024;
 
 pub(crate) struct LiveStorage {
-    pub(crate) store: SharedStore,
-    pub(crate) stats: Arc<LiveStats>,
+    store: SharedStore,
+    stats: Arc<LiveStats>,
     /// In-flight HyperCube rounds this node participates in.
-    pub(crate) shuffle: HashMap<QueryId, ShuffleState>,
+    shuffle: HashMap<QueryId, ShuffleState>,
 }
 
 impl LiveStorage {
-    /// Local execution (Fig. 3): match the pattern against the local
-    /// store — extending the shipped intermediates when the round is a
-    /// bind join — then apply the pushed-down filter at the source
-    /// (Sect. IV-G).
-    fn answer(&self, round: &SolRound) -> Vec<Solution> {
+    pub(crate) fn new(store: SharedStore, stats: Arc<LiveStats>) -> Self {
+        LiveStorage { store, stats, shuffle: HashMap::new() }
+    }
+
+    /// Counts solutions leaving this node for the coordinator.
+    fn account(&self, solutions: &[Solution]) {
+        self.stats.add_solutions_shipped(solutions.len() as u64);
+        self.stats.add_solution_bytes(wire::encode(solutions).len() as u64);
+    }
+
+    /// Local execution (Fig. 3) of a chained or partial-evaluation
+    /// round: match every slot against the local store — extending the
+    /// shipped intermediates when the round is a bind join — then apply
+    /// the pushed-down filter at the source (Sect. IV-G). Stateless, so a
+    /// retransmission just recomputes the same reply.
+    fn local_sets(&self, round: &Round) -> Vec<Vec<Solution>> {
         let unit = vec![Solution::new()];
         let partial = round.bound.as_deref().unwrap_or(&unit);
-        let mut solutions =
-            rdfmesh_sparql::eval::evaluate_pattern_with(&self.store, &round.pattern, partial);
-        if let Some(f) = &round.filter {
-            solutions.retain(|s| f.satisfied_by(s));
-        }
-        self.stats.add_solutions_shipped(solutions.len() as u64);
-        self.stats.add_solution_bytes(wire::encode(&solutions).len() as u64);
-        solutions
+        let sets: Vec<Vec<Solution>> = round
+            .patterns
+            .iter()
+            .map(|pattern| {
+                let mut solutions = evaluate_pattern_with(&self.store, pattern, partial);
+                if let Some(f) = &round.filter {
+                    solutions.retain(|s| f.satisfied_by(s));
+                }
+                solutions
+            })
+            .collect();
+        sets.iter().for_each(|set| self.account(set));
+        sets
     }
 
     /// Admits a new shuffle entry, evicting finished ones first when a
-    /// lost `MultiDone` let the map grow past the cap.
+    /// lost `Done` let the map grow past the cap.
     fn shuffle_entry(&mut self, qid: QueryId) -> &mut ShuffleState {
         if self.shuffle.len() >= SHUFFLE_STATE_CAP && !self.shuffle.contains_key(&qid) {
             self.shuffle.retain(|_, st| st.answer.is_none());
@@ -1508,17 +960,84 @@ impl LiveStorage {
         self.shuffle.entry(qid).or_default()
     }
 
-    /// Ships the local join once the exec frame and every peer's
-    /// partitions are in. The per-pattern fragment this node joins is
-    /// the union (deduped) of its own partition slice and every
-    /// [`LiveMsg::ShufflePart`] addressed to it — solutions that agree
-    /// on the join variables land at the same target, so the union of
-    /// all targets' local joins is the full join.
-    fn try_finish_shuffle(&mut self, qid: QueryId, out: &Outbox<LiveMsg>) {
-        let Some(st) = self.shuffle.get_mut(&qid) else { return };
-        let Some(ShuffleExecFrame { patterns, peers, reply_to }) = &st.exec else { return };
+    /// Drops the state of an older generation than `generation`, or
+    /// returns `false` if the frame itself is from an abandoned one.
+    fn fence(&mut self, qid: QueryId, generation: u32) -> bool {
+        match self.shuffle.get(&qid).map(|st| st.generation) {
+            Some(current) if generation > current => {
+                self.shuffle.remove(&qid);
+                true
+            }
+            Some(current) => generation == current,
+            None => true,
+        }
+    }
+
+    /// A HyperCube exec: evaluate every slot locally and scatter each
+    /// solution to the peer its join-variable bindings hash to. Returns
+    /// the local join if every peer's partitions are already in.
+    fn shuffle_exec(
+        &mut self,
+        round: Round,
+        reply_to: NodeId,
+        out: &Outbox<LiveMsg>,
+    ) -> Option<Vec<Solution>> {
+        let RoundStrategy::HyperCube { join_vars, generation, peers } = round.strategy else {
+            return None;
+        };
+        let qid = round.qid;
+        if !self.fence(qid, generation) {
+            return None; // exec from an abandoned generation
+        }
+        if let Some(answer) = self.shuffle.get(&qid).and_then(|st| st.answer.clone()) {
+            // Retransmitted exec after the answer already shipped:
+            // resend it (the coordinator dedups).
+            return Some(answer);
+        }
+        let me = out.me();
+        let st = self.shuffle_entry(qid);
+        st.generation = generation;
+        if st.exec.is_none() {
+            // Empty partitions ship too: a target can only join once it
+            // heard from every peer.
+            let k = peers.len().max(1);
+            let unit = vec![Solution::new()];
+            let mut parts: Vec<Vec<Vec<Solution>>> =
+                vec![vec![Vec::new(); round.patterns.len()]; k];
+            for (pi, pattern) in round.patterns.iter().enumerate() {
+                for s in evaluate_pattern_with(&self.store, pattern, &unit) {
+                    parts[crate::exec::shuffle_partition(&s, &join_vars, k)][pi].push(s);
+                }
+            }
+            for (slot, peer) in peers.iter().enumerate() {
+                let mine = std::mem::take(&mut parts[slot]);
+                if *peer == me {
+                    self.shuffle_entry(qid).received.insert(me, mine);
+                } else {
+                    let shipped: usize = mine.iter().map(Vec::len).sum();
+                    let bytes: usize = mine.iter().map(|set| wire::encode(set).len()).sum();
+                    self.stats.add_shuffle_parts(shipped as u64);
+                    self.stats.add_shuffle_bytes(bytes as u64);
+                    out.send(*peer, LiveMsg::ShufflePart { qid, generation, parts: mine });
+                }
+            }
+            self.shuffle_entry(qid).exec =
+                Some(ShuffleExecFrame { patterns: round.patterns, peers, reply_to });
+        }
+        self.try_finish_shuffle(qid).map(|(_, solutions)| solutions)
+    }
+
+    /// The local join, once the exec and every peer's partitions are in.
+    /// The per-slot fragment this node joins is the union (deduped) of
+    /// its own partition slice and every [`LiveMsg::ShufflePart`]
+    /// addressed to it — solutions that agree on the join variables land
+    /// at the same target, so the union of all targets' local joins is
+    /// the full join. Returns where to send it.
+    fn try_finish_shuffle(&mut self, qid: QueryId) -> Option<(NodeId, Vec<Solution>)> {
+        let st = self.shuffle.get(&qid)?;
+        let ShuffleExecFrame { patterns, peers, reply_to } = st.exec.as_ref()?;
         if st.answer.is_some() || st.received.len() < peers.len() {
-            return;
+            return None;
         }
         let mut acc = vec![Solution::new()];
         for pi in 0..patterns.len() {
@@ -1526,15 +1045,15 @@ impl LiveStorage {
             for parts in st.received.values() {
                 fragment.extend_distinct(parts.get(pi).cloned().unwrap_or_default());
             }
-            acc = rdfmesh_sparql::solution::join(&acc, fragment.as_slice());
+            acc = join(&acc, fragment.as_slice());
         }
+        let reply_to = *reply_to;
         let mut distinct = DistinctBuffer::new();
         distinct.extend_distinct(acc);
         let solutions = distinct.into_vec();
-        self.stats.add_solutions_shipped(solutions.len() as u64);
-        self.stats.add_solution_bytes(wire::encode(&solutions).len() as u64);
-        out.send(*reply_to, LiveMsg::Solutions { qid, solutions: solutions.clone() });
-        st.answer = Some(solutions);
+        self.account(&solutions);
+        self.shuffle.get_mut(&qid)?.answer = Some(solutions.clone());
+        Some((reply_to, solutions))
     }
 }
 
@@ -1542,112 +1061,45 @@ impl Handler<LiveMsg> for LiveStorage {
     fn on_message(&mut self, envelope: Envelope<LiveMsg>, out: &Outbox<LiveMsg>) {
         let from = envelope.from;
         match envelope.payload {
-            LiveMsg::SubQuery { qid, pattern, reply_to } => {
-                let triples = self.store.match_pattern(&pattern);
-                out.send(reply_to, LiveMsg::Matches { qid, triples });
-            }
-            LiveMsg::SubQuerySol { qid, pattern, filter, bound, reply_to } => {
-                let solutions = self.answer(&SolRound { qid, pattern, filter, bound });
-                out.send(reply_to, LiveMsg::Solutions { qid, solutions });
-            }
-            LiveMsg::SubQuerySolBatch { rounds, reply_to } => {
-                // Several queries' sub-queries in one frame: answer them
-                // all in one frame too, so the reply path amortizes the
-                // same framing the request path did.
-                let entries: Vec<(QueryId, Vec<Solution>)> =
-                    rounds.iter().map(|r| (r.qid, self.answer(r))).collect();
-                self.stats.add_batches(1);
-                self.stats.add_batched_rounds(entries.len() as u64);
-                out.send(reply_to, LiveMsg::SolutionsBatch { entries });
-            }
-            LiveMsg::ShuffleExec { qid, round, patterns, join_vars, peers, reply_to } => {
-                // A newer generation supersedes any retained state: the
-                // coordinator restarted the round over the survivors.
-                if self.shuffle.get(&qid).is_some_and(|st| round > st.round) {
-                    self.shuffle.remove(&qid);
+            LiveMsg::Exec { rounds, reply_to } => {
+                // Several queries' rounds in one frame: answer them all
+                // in one frame too, so the reply path amortizes the same
+                // framing the request path did. A HyperCube round still
+                // waiting on partitions answers later, on its own.
+                if rounds.len() > 1 {
+                    self.stats.add_batches(1);
+                    self.stats.add_batched_rounds(rounds.len() as u64);
                 }
-                if let Some(st) = self.shuffle.get(&qid) {
-                    if round < st.round {
-                        return; // exec from an abandoned generation
-                    }
-                    if let Some(answer) = st.answer.clone() {
-                        // Retransmitted exec after the answer already
-                        // shipped: resend it (the coordinator dedups).
-                        out.send(reply_to, LiveMsg::Solutions { qid, solutions: answer });
-                        return;
-                    }
-                }
-                let me = out.me();
-                self.shuffle_entry(qid).round = round;
-                if self.shuffle_entry(qid).exec.is_none() {
-                    // Evaluate every pattern locally and scatter each
-                    // solution to the peer its join-variable bindings
-                    // hash to. Empty partitions ship too: a target can
-                    // only join once it heard from every peer.
-                    let k = peers.len().max(1);
-                    let unit = vec![Solution::new()];
-                    let mut parts: Vec<Vec<Vec<Solution>>> =
-                        vec![vec![Vec::new(); patterns.len()]; k];
-                    for (pi, pattern) in patterns.iter().enumerate() {
-                        let sols = rdfmesh_sparql::eval::evaluate_pattern_with(
-                            &self.store,
-                            pattern,
-                            &unit,
-                        );
-                        for s in sols {
-                            let target = crate::exec::shuffle_partition(&s, &join_vars, k);
-                            parts[target][pi].push(s);
+                let mut entries = Vec::with_capacity(rounds.len());
+                for round in rounds {
+                    let qid = round.qid;
+                    if let RoundStrategy::HyperCube { .. } = round.strategy {
+                        if let Some(solutions) = self.shuffle_exec(round, reply_to, out) {
+                            entries.push((qid, vec![solutions]));
                         }
+                    } else {
+                        entries.push((qid, self.local_sets(&round)));
                     }
-                    for (slot, peer) in peers.iter().enumerate() {
-                        let mine = std::mem::take(&mut parts[slot]);
-                        if *peer == me {
-                            self.shuffle_entry(qid).received.insert(me, mine);
-                        } else {
-                            let shipped: usize = mine.iter().map(Vec::len).sum();
-                            let bytes: usize =
-                                mine.iter().map(|set| wire::encode(set).len()).sum();
-                            self.stats.add_shuffle_parts(shipped as u64);
-                            self.stats.add_shuffle_bytes(bytes as u64);
-                            out.send(*peer, LiveMsg::ShufflePart { qid, round, parts: mine });
-                        }
-                    }
-                    self.shuffle_entry(qid).exec =
-                        Some(ShuffleExecFrame { patterns, peers, reply_to });
                 }
-                self.try_finish_shuffle(qid, out);
+                if !entries.is_empty() {
+                    out.send(reply_to, LiveMsg::Answer { entries });
+                }
             }
-            LiveMsg::ShufflePart { qid, round, parts } => {
-                // A partition of a newer generation can outrun its exec
-                // frame: drop the abandoned generation's state and start
+            LiveMsg::ShufflePart { qid, generation, parts } => {
+                // A partition of a newer generation can outrun its exec:
+                // drop the abandoned generation's state and start
                 // collecting under the new one.
-                if self.shuffle.get(&qid).is_some_and(|st| round > st.round) {
-                    self.shuffle.remove(&qid);
-                }
-                let entry = self.shuffle_entry(qid);
-                if round < entry.round {
+                if !self.fence(qid, generation) {
                     return; // partition from an abandoned generation
                 }
-                entry.round = round;
+                let entry = self.shuffle_entry(qid);
+                entry.generation = generation;
                 entry.received.entry(from).or_insert(parts);
-                self.try_finish_shuffle(qid, out);
+                if let Some((reply_to, solutions)) = self.try_finish_shuffle(qid) {
+                    out.send(reply_to, LiveMsg::Answer { entries: vec![(qid, vec![solutions])] });
+                }
             }
-            LiveMsg::PartialExec { qid, patterns, reply_to } => {
-                // Partial evaluation: answer every pattern over local
-                // data in one shot. Stateless, so a retransmission just
-                // recomputes the same reply.
-                let unit = vec![Solution::new()];
-                let per_pattern: Vec<Vec<Solution>> = patterns
-                    .iter()
-                    .map(|p| rdfmesh_sparql::eval::evaluate_pattern_with(&self.store, p, &unit))
-                    .collect();
-                let shipped: usize = per_pattern.iter().map(Vec::len).sum();
-                let bytes: usize = per_pattern.iter().map(|set| wire::encode(set).len()).sum();
-                self.stats.add_solutions_shipped(shipped as u64);
-                self.stats.add_solution_bytes(bytes as u64);
-                out.send(reply_to, LiveMsg::PartialMatches { qid, per_pattern });
-            }
-            LiveMsg::MultiDone { qid } => {
+            LiveMsg::Done { qid } => {
                 self.shuffle.remove(&qid);
             }
             _ => {}
@@ -1655,7 +1107,193 @@ impl Handler<LiveMsg> for LiveStorage {
     }
 }
 
-// ---- the mesh handle -------------------------------------------------
+// ---- the submit front both mesh handles share --------------------------
+
+/// How many round submissions one submit-pump drain coalesces into a
+/// single [`LiveMsg::Submit`] at most.
+const SUBMIT_COALESCE: usize = 64;
+
+/// The group-commit submit pump: callers enqueue rounds without
+/// blocking; the pump injects whatever has piled up while the previous
+/// inject was in flight as one message. At low load every round still
+/// travels alone (zero added latency — the blocking `recv` forwards it
+/// immediately); batches only form under concurrency, which is exactly
+/// when the framing amortization pays.
+fn spawn_submit_pump<F>(rx: Receiver<Round>, stats: Arc<LiveStats>, inject: F)
+where
+    F: Fn(LiveMsg) + Send + 'static,
+{
+    std::thread::Builder::new()
+        .name("rdfmesh-submit-pump".into())
+        .spawn(move || {
+            while let Ok(first) = rx.recv() {
+                let mut rounds = vec![first];
+                rounds.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(SUBMIT_COALESCE - 1));
+                if rounds.len() > 1 {
+                    stats.add_batches(1);
+                    stats.add_batched_rounds(rounds.len() as u64);
+                }
+                inject(LiveMsg::Submit { rounds });
+            }
+        })
+        .expect("spawn submit pump");
+}
+
+/// A submitted-but-not-yet-awaited round: the non-blocking half of
+/// [`Mesh::query_solutions`] and [`Mesh::query_multiway`]. Callers
+/// submit any number of rounds and wait on each handle afterwards, so
+/// concurrent executions pipeline through one coordinator instead of
+/// serializing on the caller side.
+#[derive(Debug)]
+pub struct RoundHandle {
+    qid: QueryId,
+    rx: Receiver<LiveAnswer>,
+    pending: PendingMap,
+}
+
+impl RoundHandle {
+    /// The id the round was submitted under.
+    pub fn qid(&self) -> QueryId {
+        self.qid
+    }
+
+    /// Blocks up to `timeout` for the round's answer. `None` abandons
+    /// the wait (the coordinator's own deadlines still retire the
+    /// round's protocol state).
+    pub fn wait(self, timeout: Duration) -> Option<LiveAnswer> {
+        let answer = self.rx.recv_timeout(timeout).ok();
+        if answer.is_none() {
+            lock(&self.pending).remove(&self.qid);
+        }
+        answer
+    }
+}
+
+/// A live mesh handle: the submit front every host shares — round
+/// submission through the group-commit pump, admission control, and
+/// the counters — over a host `H` that carries the nodes.
+/// [`LiveMesh`] hosts a whole mesh in this process (threads or
+/// loopback sockets); [`crate::MeshNode`] hosts one serve-mode process.
+/// `execute` and `execute_with` live in [`crate::live_backend`].
+pub struct Mesh<H> {
+    pub(crate) host: H,
+    cfg: LiveConfig,
+    space: rdfmesh_chord::IdSpace,
+    ring_view: RingView,
+    next_qid: AtomicU64,
+    pending: PendingMap,
+    pump: Sender<Round>,
+    admission: Admission,
+    stats: Arc<LiveStats>,
+}
+
+impl<H> Mesh<H> {
+    /// Wraps `host` with the submit front; `inject` delivers a
+    /// [`LiveMsg::Submit`] to the host's coordinator.
+    pub(crate) fn with_front(
+        host: H,
+        cfg: LiveConfig,
+        space: rdfmesh_chord::IdSpace,
+        ring_view: RingView,
+        stats: Arc<LiveStats>,
+        pending: PendingMap,
+        inject: impl Fn(LiveMsg) + Send + 'static,
+    ) -> Self {
+        let (pump, rx) = unbounded();
+        spawn_submit_pump(rx, Arc::clone(&stats), inject);
+        let admission = Admission::new(&cfg, Arc::clone(&stats));
+        let next_qid = AtomicU64::new(1);
+        Mesh { host, cfg, space, ring_view, next_qid, pending, pump, admission, stats }
+    }
+
+    fn submit(&self, round: impl FnOnce(QueryId) -> Round) -> RoundHandle {
+        self.stats.add_solution_rounds(1);
+        let qid = QueryId(self.next_qid.fetch_add(1, Ordering::Relaxed));
+        let (tx, rx) = bounded(1);
+        lock(&self.pending).insert(qid, tx);
+        let _ = self.pump.send(round(qid));
+        RoundHandle { qid, rx, pending: Arc::clone(&self.pending) }
+    }
+
+    /// Resolves one chained round through the live protocol: the
+    /// selected providers answer with solution mappings — extending the
+    /// shipped `bound` intermediates when given (bind join, Sect. IV-D)
+    /// and applying `filter` at the source (Sect. IV-G). Blocks up to
+    /// `timeout`; the protocol's own deadlines ([`LiveConfig`]) answer
+    /// well before a generous `timeout`, so `None` means the caller gave
+    /// up first. The distributed execution core's [`crate::LiveBackend`]
+    /// issues one such round per plan primitive or bound sub-query.
+    pub fn query_solutions(
+        &self,
+        pattern: TriplePattern,
+        filter: Option<Expression>,
+        bound: Option<Vec<Solution>>,
+        timeout: Duration,
+    ) -> Option<LiveAnswer> {
+        self.submit_solutions(pattern, filter, bound).wait(timeout)
+    }
+
+    /// The non-blocking half of [`Mesh::query_solutions`]: enqueues the
+    /// round at the submit pump and returns immediately with a
+    /// [`RoundHandle`] to wait on.
+    pub fn submit_solutions(
+        &self,
+        pattern: TriplePattern,
+        filter: Option<Expression>,
+        bound: Option<Vec<Solution>>,
+    ) -> RoundHandle {
+        self.submit(|qid| Round::chained(qid, pattern, filter, bound))
+    }
+
+    /// Resolves a whole multi-pattern BGP in a single distributed round
+    /// — HyperCube shuffle or partial-evaluation-and-assembly — instead
+    /// of pattern-by-pattern chained shipping, blocking up to `timeout`.
+    pub fn query_multiway(
+        &self,
+        patterns: Vec<TriplePattern>,
+        join_vars: Vec<Variable>,
+        strategy: DistStrategy,
+        timeout: Duration,
+    ) -> Option<LiveAnswer> {
+        self.submit_multiway(patterns, join_vars, strategy).wait(timeout)
+    }
+
+    /// The non-blocking half of [`Mesh::query_multiway`].
+    pub fn submit_multiway(
+        &self,
+        patterns: Vec<TriplePattern>,
+        join_vars: Vec<Variable>,
+        strategy: DistStrategy,
+    ) -> RoundHandle {
+        self.submit(|qid| Round::multiway(qid, patterns, join_vars, strategy))
+    }
+
+    /// The admission gate bounding concurrent query *executions* (one
+    /// SPARQL query = one permit, covering all its rounds). `execute`
+    /// acquires from it; raw round submissions are ungated internals.
+    pub fn admission(&self) -> &Admission {
+        &self.admission
+    }
+
+    /// The fault-tolerance configuration the mesh was started with.
+    pub fn config(&self) -> LiveConfig {
+        self.cfg
+    }
+
+    /// Fault-tolerance counters accumulated so far.
+    pub fn stats(&self) -> LiveStatsSnapshot {
+        self.stats.snapshot()
+    }
+
+    /// The index node whose location table owns `pattern`'s key in this
+    /// handle's current ring view, or `None` for the all-variable
+    /// pattern (which has no key).
+    pub fn index_owner_of(&self, pattern: &TriplePattern) -> Option<NodeId> {
+        key_for_pattern(self.space, pattern).map(|k| owner_in_view(&rlock(&self.ring_view), k.id.0))
+    }
+}
+
+// ---- the in-process mesh ----------------------------------------------
 
 /// Which substrate carries a [`LiveMesh`]'s protocol messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1678,156 +1316,30 @@ enum MeshCluster {
     Sockets(TcpCluster<LiveMsg>),
 }
 
-impl MeshCluster {
-    fn inject(&self, from: NodeId, to: NodeId, msg: LiveMsg) -> bool {
-        match self {
-            MeshCluster::Threads(c) => c.inject(from, to, msg),
-            MeshCluster::Sockets(c) => c.inject(from, to, msg),
+/// Calls the same method on whichever cluster backs the mesh.
+macro_rules! on_cluster {
+    ($cluster:expr, $c:ident => $call:expr) => {
+        match &*$cluster {
+            MeshCluster::Threads($c) => $call,
+            MeshCluster::Sockets($c) => $call,
         }
-    }
-
-    fn crash(&self, node: NodeId) -> bool {
-        match self {
-            MeshCluster::Threads(c) => c.crash(node),
-            MeshCluster::Sockets(c) => c.crash(node),
-        }
-    }
-
-    fn restart(&self, node: NodeId) -> bool {
-        match self {
-            MeshCluster::Threads(c) => c.restart(node),
-            MeshCluster::Sockets(c) => c.restart(node),
-        }
-    }
-
-    fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
-        match self {
-            MeshCluster::Threads(c) => c.barrier(node, timeout),
-            MeshCluster::Sockets(c) => c.barrier(node, timeout),
-        }
-    }
-
-    fn message_count(&self) -> u64 {
-        match self {
-            MeshCluster::Threads(c) => c.message_count(),
-            MeshCluster::Sockets(c) => c.message_count(),
-        }
-    }
-
-    fn dropped_count(&self) -> u64 {
-        match self {
-            MeshCluster::Threads(c) => c.dropped_count(),
-            MeshCluster::Sockets(c) => c.dropped_count(),
-        }
-    }
-
-    fn shutdown(&self) {
-        match self {
-            MeshCluster::Threads(c) => c.shutdown(),
-            MeshCluster::Sockets(c) => c.shutdown(),
-        }
-    }
+    };
 }
 
-/// How many round submissions one submit-pump drain coalesces into a
-/// single [`LiveMsg::SubmitSolBatch`] at most.
-pub(crate) const SUBMIT_COALESCE: usize = 64;
-
-/// The group-commit submit pump: callers enqueue rounds without
-/// blocking; the pump injects whatever has piled up while the previous
-/// inject was in flight as one message. At low load every round still
-/// travels alone (zero added latency — the blocking `recv` forwards it
-/// immediately); batches only form under concurrency, which is exactly
-/// when the framing amortization pays.
-pub(crate) fn spawn_submit_pump<F>(rx: Receiver<SolRound>, stats: Arc<LiveStats>, inject: F)
-where
-    F: Fn(LiveMsg) + Send + 'static,
-{
-    std::thread::Builder::new()
-        .name("rdfmesh-submit-pump".into())
-        .spawn(move || {
-            while let Ok(first) = rx.recv() {
-                let mut rounds = vec![first];
-                while rounds.len() < SUBMIT_COALESCE {
-                    match rx.try_recv() {
-                        Ok(r) => rounds.push(r),
-                        Err(_) => break,
-                    }
-                }
-                let msg = if rounds.len() == 1 {
-                    let r = rounds.pop().expect("one round");
-                    LiveMsg::SubmitSol {
-                        qid: r.qid,
-                        pattern: r.pattern,
-                        filter: r.filter,
-                        bound: r.bound,
-                    }
-                } else {
-                    stats.add_batches(1);
-                    stats.add_batched_rounds(rounds.len() as u64);
-                    LiveMsg::SubmitSolBatch { rounds }
-                };
-                inject(msg);
-            }
-        })
-        .expect("spawn submit pump");
-}
-
-/// A submitted-but-not-yet-awaited solution round: the non-blocking
-/// half of [`LiveMesh::query_solutions`] (and
-/// [`crate::MeshNode::submit_solutions`]). Callers submit any number of
-/// rounds and wait on each handle afterwards, so concurrent executions
-/// pipeline through one coordinator instead of serializing on the
-/// caller side.
-#[derive(Debug)]
-pub struct RoundHandle {
-    qid: QueryId,
-    rx: Receiver<LiveAnswer>,
-    pending: PendingMap,
-}
-
-impl RoundHandle {
-    pub(crate) fn new(qid: QueryId, rx: Receiver<LiveAnswer>, pending: PendingMap) -> Self {
-        RoundHandle { qid, rx, pending }
-    }
-
-    /// The id the round was submitted under.
-    pub fn qid(&self) -> QueryId {
-        self.qid
-    }
-
-    /// Blocks up to `timeout` for the round's answer. `None` abandons
-    /// the wait (the coordinator's own deadlines still retire the
-    /// round's protocol state).
-    pub fn wait(self, timeout: Duration) -> Option<LiveAnswer> {
-        let answer = self.rx.recv_timeout(timeout).ok();
-        if answer.is_none() {
-            lock(&self.pending).remove(&self.qid);
-        }
-        answer
-    }
+/// The host of a [`LiveMesh`]: every node of an overlay in this process.
+pub struct Loopback {
+    cluster: Arc<MeshCluster>,
+    tables: HashMap<NodeId, SharedTable>,
 }
 
 /// A live mesh: one thread per node, built from an existing overlay's
 /// data placement.
-pub struct LiveMesh {
-    cluster: Arc<MeshCluster>,
-    coordinator: NodeId,
-    cfg: LiveConfig,
-    next_qid: AtomicU64,
-    pending: PendingMap,
-    submit: Sender<SolRound>,
-    admission: crate::admission::Admission,
-    stats: Arc<LiveStats>,
-    space: rdfmesh_chord::IdSpace,
-    ring_view: RingView,
-    tables: HashMap<NodeId, SharedTable>,
-}
+pub type LiveMesh = Mesh<Loopback>;
 
 /// The coordinator's well-known address in the live mesh.
 pub const COORDINATOR: NodeId = NodeId(u64::MAX);
 
-impl LiveMesh {
+impl Mesh<Loopback> {
     /// Spawns node threads mirroring `overlay`'s index placement and
     /// storage contents, with default timeouts and no planned faults.
     pub fn spawn(overlay: &Overlay) -> Self {
@@ -1891,161 +1403,35 @@ impl LiveMesh {
         for ix in &index_nodes {
             let table: SharedTable = Arc::new(Mutex::new(tables.remove(ix).unwrap_or_default()));
             shared_tables.insert(*ix, Arc::clone(&table));
-            nodes.push((
-                *ix,
-                Box::new(IndexNode {
-                    table,
-                    space,
-                    ring_view: Arc::clone(&ring_view),
-                    stats: Arc::clone(&stats),
-                }),
-            ));
+            let ring_view = Arc::clone(&ring_view);
+            let stats = Arc::clone(&stats);
+            nodes.push((*ix, Box::new(IndexNode { table, space, ring_view, stats })));
         }
         let mut flood: Vec<NodeId> = Vec::new();
         for storage in overlay.storage_nodes() {
             let store = overlay.storage_node(storage).expect("listed").store.clone();
-            nodes.push((
-                storage,
-                Box::new(LiveStorage {
-                    store,
-                    stats: Arc::clone(&stats),
-                    shuffle: HashMap::new(),
-                }),
-            ));
+            nodes.push((storage, Box::new(LiveStorage::new(store, Arc::clone(&stats)))));
             flood.push(storage);
         }
         flood.sort();
-        let flood: SharedFlood = Arc::new(RwLock::new(flood));
-        nodes.push((
+        let core = CoordinatorCore::new(
             COORDINATOR,
-            Box::new(Coordinator {
-                core: CoordinatorCore::new(COORDINATOR, index_nodes[0], cfg, space, flood),
-                pending: Arc::clone(&pending),
-                shared: Arc::clone(&stats),
-                synced: LiveCounters::default(),
-            }),
-        ));
-        let cluster = match transport {
+            index_nodes[0],
+            cfg,
+            space,
+            Arc::new(RwLock::new(flood)),
+        );
+        let coordinator = Coordinator::new(core, Arc::clone(&pending), Arc::clone(&stats));
+        nodes.push((COORDINATOR, Box::new(coordinator)));
+        let cluster = Arc::new(match transport {
             Transport::Threads => MeshCluster::Threads(Cluster::spawn_with(nodes, plan)),
             Transport::Sockets => MeshCluster::Sockets(TcpCluster::spawn_loopback(nodes, plan)?),
-        };
-        let cluster = Arc::new(cluster);
-        let (submit, submit_rx) = unbounded();
-        let pump_cluster = Arc::clone(&cluster);
-        spawn_submit_pump(submit_rx, Arc::clone(&stats), move |msg| {
-            pump_cluster.inject(COORDINATOR, COORDINATOR, msg);
         });
-        Ok(LiveMesh {
-            cluster,
-            coordinator: COORDINATOR,
-            cfg,
-            next_qid: AtomicU64::new(1),
-            pending,
-            submit,
-            admission: crate::admission::Admission::new(&cfg, Arc::clone(&stats)),
-            stats,
-            space,
-            ring_view,
-            tables: shared_tables,
-        })
-    }
-
-    /// Resolves one triple pattern through the live protocol, blocking up
-    /// to `timeout` for the caller-side wait. The protocol's own
-    /// deadlines ([`LiveConfig`]) guarantee an answer well before a
-    /// generous `timeout`; `None` means the caller gave up first.
-    pub fn query(&self, pattern: TriplePattern, timeout: Duration) -> Option<LiveAnswer> {
-        let qid = QueryId(self.next_qid.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = bounded(1);
-        lock(&self.pending).insert(qid, tx);
-        self.cluster.inject(self.coordinator, self.coordinator, LiveMsg::Submit { qid, pattern });
-        let answer = rx.recv_timeout(timeout).ok();
-        if answer.is_none() {
-            lock(&self.pending).remove(&qid);
-        }
-        answer
-    }
-
-    /// Resolves one *solution round* through the live protocol: the
-    /// selected providers answer with solution mappings — extending the
-    /// shipped `bound` intermediates when given (bind join, Sect. IV-D)
-    /// and applying `filter` at the source (Sect. IV-G) — instead of raw
-    /// triples. The distributed execution core's [`crate::LiveBackend`]
-    /// issues one such round per plan primitive or bound sub-query.
-    pub fn query_solutions(
-        &self,
-        pattern: TriplePattern,
-        filter: Option<Expression>,
-        bound: Option<Vec<Solution>>,
-        timeout: Duration,
-    ) -> Option<LiveAnswer> {
-        self.submit_solutions(pattern, filter, bound).wait(timeout)
-    }
-
-    /// The non-blocking half of [`LiveMesh::query_solutions`]: enqueues
-    /// the round at the submit pump and returns immediately with a
-    /// [`RoundHandle`] to wait on. Rounds submitted concurrently
-    /// pipeline through the coordinator (and coalesce into batched
-    /// frames under load).
-    pub fn submit_solutions(
-        &self,
-        pattern: TriplePattern,
-        filter: Option<Expression>,
-        bound: Option<Vec<Solution>>,
-    ) -> RoundHandle {
-        self.stats.add_solution_rounds(1);
-        let qid = QueryId(self.next_qid.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = bounded(1);
-        lock(&self.pending).insert(qid, tx);
-        let _ = self.submit.send(SolRound { qid, pattern, filter, bound });
-        RoundHandle::new(qid, rx, Arc::clone(&self.pending))
-    }
-
-    /// Resolves a whole multi-pattern BGP in a single distributed round
-    /// — HyperCube shuffle or partial-evaluation-and-assembly — instead
-    /// of pattern-by-pattern chained shipping, blocking up to `timeout`.
-    pub fn query_multiway(
-        &self,
-        patterns: Vec<TriplePattern>,
-        join_vars: Vec<Variable>,
-        strategy: DistStrategy,
-        timeout: Duration,
-    ) -> Option<LiveAnswer> {
-        self.submit_multiway(patterns, join_vars, strategy).wait(timeout)
-    }
-
-    /// The non-blocking half of [`LiveMesh::query_multiway`]. Multiway
-    /// rounds bypass the submit pump (they never coalesce with chained
-    /// rounds) and inject directly at the coordinator.
-    pub fn submit_multiway(
-        &self,
-        patterns: Vec<TriplePattern>,
-        join_vars: Vec<Variable>,
-        strategy: DistStrategy,
-    ) -> RoundHandle {
-        self.stats.add_solution_rounds(1);
-        let qid = QueryId(self.next_qid.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = bounded(1);
-        lock(&self.pending).insert(qid, tx);
-        self.cluster.inject(
-            self.coordinator,
-            self.coordinator,
-            LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy },
-        );
-        RoundHandle::new(qid, rx, Arc::clone(&self.pending))
-    }
-
-    /// The admission gate bounding concurrent query *executions* (one
-    /// SPARQL query = one permit, covering all its solution rounds).
-    /// [`LiveMesh::execute`] acquires from it; raw round submissions
-    /// are ungated internals.
-    pub fn admission(&self) -> &crate::admission::Admission {
-        &self.admission
-    }
-
-    /// The fault-tolerance configuration the mesh was spawned with.
-    pub fn config(&self) -> LiveConfig {
-        self.cfg
+        let pump = Arc::clone(&cluster);
+        let host = Loopback { cluster, tables: shared_tables };
+        Ok(Mesh::with_front(host, cfg, space, ring_view, stats, pending, move |msg| {
+            on_cluster!(pump, c => c.inject(COORDINATOR, COORDINATOR, msg));
+        }))
     }
 
     /// Test-harness facility: delivers a hand-crafted protocol message as
@@ -2053,34 +1439,27 @@ impl LiveMesh {
     /// [`Cluster::inject`]). Fault tests use it to forge late replies
     /// from earlier queries.
     pub fn inject(&self, from: NodeId, to: NodeId, msg: LiveMsg) {
-        self.cluster.inject(from, to, msg);
+        on_cluster!(self.host.cluster, c => c.inject(from, to, msg));
     }
 
     /// Crashes `node` at runtime: it stops answering and sends to it fail
     /// fast. See [`Cluster::crash`].
     pub fn crash(&self, node: NodeId) -> bool {
-        self.cluster.crash(node)
+        on_cluster!(self.host.cluster, c => c.crash(node))
     }
 
     /// Restarts a crashed `node` with its state intact. Its purged
     /// location-table entries stay purged until it republishes — exactly
     /// the paper's rejoin behaviour. See [`Cluster::restart`].
     pub fn restart(&self, node: NodeId) -> bool {
-        self.cluster.restart(node)
+        on_cluster!(self.host.cluster, c => c.restart(node))
     }
 
     /// Blocks until `node` has processed everything delivered to it
     /// before this call — the deterministic fence the fault tests use
     /// instead of sleeping. See [`Cluster::barrier`].
     pub fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
-        self.cluster.barrier(node, timeout)
-    }
-
-    /// The index node whose location table owns `pattern`'s key, or
-    /// `None` for the all-variable pattern (which has no key).
-    pub fn index_owner_of(&self, pattern: &TriplePattern) -> Option<NodeId> {
-        key_for_pattern(self.space, pattern)
-            .map(|k| owner_in_view(&rlock(&self.ring_view), k.id.0))
+        on_cluster!(self.host.cluster, c => c.barrier(node, timeout))
     }
 
     /// The owner index node's current location-table row for `pattern`
@@ -2088,31 +1467,26 @@ impl LiveMesh {
     pub fn providers_of(&self, pattern: &TriplePattern) -> Vec<NodeId> {
         let Some(key) = key_for_pattern(self.space, pattern) else { return Vec::new() };
         let owner = owner_in_view(&rlock(&self.ring_view), key.id.0);
-        let Some(table) = self.tables.get(&owner) else { return Vec::new() };
+        let Some(table) = self.host.tables.get(&owner) else { return Vec::new() };
         let mut row = lock(table).get(&key.id.0).cloned().unwrap_or_default();
         row.sort();
         row
     }
 
-    /// Fault-tolerance counters accumulated so far.
-    pub fn stats(&self) -> LiveStatsSnapshot {
-        self.stats.snapshot()
-    }
-
     /// Messages delivered so far (across all threads).
     pub fn message_count(&self) -> u64 {
-        self.cluster.message_count()
+        on_cluster!(self.host.cluster, c => c.message_count())
     }
 
     /// Messages lost so far to the fault plan or crashed nodes.
     pub fn dropped_count(&self) -> u64 {
-        self.cluster.dropped_count()
+        on_cluster!(self.host.cluster, c => c.dropped_count())
     }
 
     /// Socket-layer counters (`transport.*` metric names), or `None` on
     /// [`Transport::Threads`] where no wire exists.
     pub fn transport_stats(&self) -> Option<TransportSnapshot> {
-        match &*self.cluster {
+        match &*self.host.cluster {
             MeshCluster::Threads(_) => None,
             MeshCluster::Sockets(c) => Some(c.transport_stats()),
         }
@@ -2120,7 +1494,7 @@ impl LiveMesh {
 
     /// Stops every node thread.
     pub fn shutdown(&self) {
-        self.cluster.shutdown();
+        on_cluster!(self.host.cluster, c => c.shutdown())
     }
 }
 
@@ -2128,7 +1502,7 @@ impl LiveMesh {
 mod tests {
     use super::*;
     use rdfmesh_net::{LatencyModel, Network, SimTime};
-    use rdfmesh_rdf::{Term, TermPattern};
+    use rdfmesh_rdf::{Term, TermPattern, Triple};
 
     fn overlay() -> Overlay {
         let net = Network::new(LatencyModel::Uniform(SimTime::millis(1)), 12.5);
@@ -2166,23 +1540,30 @@ mod tests {
         )
     }
 
+    fn sorted(mut solutions: Vec<Solution>) -> Vec<Solution> {
+        solutions.sort();
+        solutions
+    }
+
     #[test]
     fn live_query_matches_simulated_results() {
         let o = overlay();
         let mesh = LiveMesh::spawn(&o);
         let pattern = knows_pattern("bob");
-        let live = mesh.query(pattern.clone(), Duration::from_secs(10)).expect("no timeout");
+        let live = mesh
+            .query_solutions(pattern.clone(), None, None, Duration::from_secs(10))
+            .expect("no timeout");
         assert!(live.complete);
         assert!(live.failed_providers.is_empty());
-        assert_eq!(live.triples.len(), 2);
+        assert_eq!(live.solutions.len(), 2);
         // Oracle agreement.
-        let mut expected: Vec<Triple> = crate::engine::global_store(&o).match_pattern(&pattern);
-        let mut got = live.triples;
-        expected.sort();
-        got.sort();
-        assert_eq!(got, expected);
-        // Protocol shape: 1 lookup + 1 providers + k subqueries + k answers.
+        let store = crate::engine::global_store(&o);
+        let expected = evaluate_pattern_with(&store, &pattern, &[Solution::new()]);
+        assert_eq!(sorted(live.solutions), sorted(expected));
+        // Protocol shape: 1 lookup + 1 providers + k execs + k answers.
         assert!(mesh.message_count() >= 4);
+        // A lone query travels as a batch of one: no batched frame.
+        assert_eq!(mesh.stats().batches, 0);
         mesh.shutdown();
     }
 
@@ -2195,9 +1576,10 @@ mod tests {
             Term::iri("http://example.org/never-used"),
             TermPattern::var("y"),
         );
-        let live = mesh.query(pattern, Duration::from_secs(10)).expect("no timeout");
+        let live =
+            mesh.query_solutions(pattern, None, None, Duration::from_secs(10)).expect("no timeout");
         assert!(live.complete);
-        assert!(live.triples.is_empty());
+        assert!(live.solutions.is_empty());
         mesh.shutdown();
     }
 
@@ -2206,10 +1588,11 @@ mod tests {
         let o = overlay();
         let mesh = LiveMesh::spawn(&o);
         for (target, expect) in [("bob", 2), ("carol", 1), ("nobody", 0)] {
-            let live =
-                mesh.query(knows_pattern(target), Duration::from_secs(10)).expect("no timeout");
+            let live = mesh
+                .query_solutions(knows_pattern(target), None, None, Duration::from_secs(10))
+                .expect("no timeout");
             assert!(live.complete, "target {target}");
-            assert_eq!(live.triples.len(), expect, "target {target}");
+            assert_eq!(live.solutions.len(), expect, "target {target}");
         }
         mesh.shutdown();
     }
@@ -2238,42 +1621,32 @@ mod tests {
 
     #[test]
     fn batched_submit_coalesces_provider_traffic() {
-        // One SubmitSolBatch whose rounds fan out to the same storage
-        // nodes in one coordinator turn must travel as batched
-        // SubQuerySol / Solutions frames — the group-commit shipping
-        // path — while answering each round independently. The
-        // all-variable pattern floods immediately (no lookup
-        // round-trip), so both rounds leave in the same turn.
+        // One Submit whose rounds fan out to the same storage nodes in
+        // one coordinator turn must travel as 2-round Exec / Answer
+        // frames — the group-commit shipping path — while answering
+        // each round independently. The all-variable pattern floods
+        // immediately (no lookup round-trip), so both rounds leave in
+        // the same turn.
         let o = overlay();
         let mesh = LiveMesh::spawn(&o);
-        let p = TriplePattern::new(
-            TermPattern::var("s"),
-            TermPattern::var("p"),
-            TermPattern::var("o"),
-        );
+        let p =
+            TriplePattern::new(TermPattern::var("s"), TermPattern::var("p"), TermPattern::var("o"));
         let (tx1, rx1) = bounded(1);
         let (tx2, rx2) = bounded(1);
         let (q1, q2) = (QueryId(501), QueryId(502));
         lock(&mesh.pending).insert(q1, tx1);
         lock(&mesh.pending).insert(q2, tx2);
-        mesh.inject(
-            COORDINATOR,
-            COORDINATOR,
-            LiveMsg::SubmitSolBatch {
-                rounds: vec![
-                    SolRound { qid: q1, pattern: p.clone(), filter: None, bound: None },
-                    SolRound { qid: q2, pattern: p, filter: None, bound: None },
-                ],
-            },
-        );
+        let rounds =
+            vec![Round::chained(q1, p.clone(), None, None), Round::chained(q2, p, None, None)];
+        mesh.inject(COORDINATOR, COORDINATOR, LiveMsg::Submit { rounds });
         let a1 = rx1.recv_timeout(Duration::from_secs(10)).expect("q1 answers");
         let a2 = rx2.recv_timeout(Duration::from_secs(10)).expect("q2 answers");
         assert!(a1.complete && a2.complete);
         assert_eq!(a1.solutions, a2.solutions, "same pattern, same answer");
         assert_eq!(a1.solutions.len(), 3, "one solution per stored triple");
         let s = mesh.stats();
-        // Two storage nodes: each got one 2-round SubQuerySolBatch and
-        // answered one 2-entry SolutionsBatch.
+        // Two storage nodes: the coordinator shipped each one 2-round
+        // Exec frame and each counted one on arrival.
         assert!(s.batches >= 4, "expected coalesced frames, got {} batches", s.batches);
         assert!(s.batched_rounds >= 8, "rounds carried in batches: {}", s.batched_rounds);
         mesh.shutdown();
@@ -2298,14 +1671,6 @@ mod tests {
             )
         }
 
-        fn triple(n: u64) -> Triple {
-            Triple::new(
-                Term::iri(&format!("http://example.org/s{n}")),
-                Term::iri("http://example.org/p"),
-                Term::iri(&format!("http://example.org/o{n}")),
-            )
-        }
-
         fn core() -> CoordinatorCore {
             CoordinatorCore::new(
                 COORDINATOR,
@@ -2326,30 +1691,64 @@ mod tests {
                 .collect()
         }
 
+        /// The providers every exec action of `actions` goes to.
+        fn exec_targets(actions: &[Action]) -> Vec<NodeId> {
+            actions
+                .iter()
+                .filter_map(|a| match a {
+                    Action::Exec { to, .. } => Some(*to),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        fn submit(qid: QueryId) -> LiveMsg {
+            LiveMsg::Submit { rounds: vec![Round::chained(qid, pattern(), None, None)] }
+        }
+
+        fn providers(qid: QueryId, providers: Vec<NodeId>) -> LiveMsg {
+            LiveMsg::Providers { qid, slot: 0, providers }
+        }
+
+        fn answer(qid: QueryId, solutions: Vec<Solution>) -> LiveMsg {
+            LiveMsg::Answer { entries: vec![(qid, vec![solutions])] }
+        }
+
+        fn deadline(qid: QueryId, stage: DeadlineStage) -> LiveMsg {
+            LiveMsg::Deadline { qid, stage }
+        }
+
+        fn ack(provider: NodeId, attempt: u8) -> DeadlineStage {
+            DeadlineStage::Ack { provider, attempt }
+        }
+
+        fn xsol(n: u64) -> Solution {
+            Solution::from_pairs([(
+                Variable::new("x"),
+                Term::iri(&format!("http://example.org/s{n}")),
+            )])
+        }
+
         #[test]
-        fn duplicate_matches_are_dropped_not_underflowed() {
+        fn duplicate_answers_are_dropped_not_underflowed() {
             // The seed bug: `expect -= 1` panicked (debug) or wrapped
             // (release) on a duplicate or post-completion reply.
             let mut c = core();
             let qid = QueryId(1);
-            c.on_event(COORDINATOR, LiveMsg::Submit { qid, pattern: pattern() });
-            c.on_event(
-                IX,
-                LiveMsg::Providers { qid, pattern: pattern(), providers: vec![P1, P2] },
-            );
-            let a1 = c.on_event(P1, LiveMsg::Matches { qid, triples: vec![triple(1)] });
+            c.on_event(COORDINATOR, submit(qid));
+            c.on_event(IX, providers(qid, vec![P1, P2]));
+            let a1 = c.on_event(P1, answer(qid, vec![xsol(1)]));
             assert!(finishes(&a1).is_empty());
             // Duplicate from P1: dropped, not applied.
-            let dup = c.on_event(P1, LiveMsg::Matches { qid, triples: vec![triple(9)] });
+            let dup = c.on_event(P1, answer(qid, vec![xsol(9)]));
             assert!(dup.is_empty());
             assert_eq!(c.counters.stale_replies, 1);
-            let a2 = c.on_event(P2, LiveMsg::Matches { qid, triples: vec![triple(2)] });
-            let done = finishes(&a2);
+            let done = finishes(&c.on_event(P2, answer(qid, vec![xsol(2)])));
             assert_eq!(done.len(), 1);
             assert!(done[0].1.complete);
-            assert_eq!(done[0].1.triples, vec![triple(1), triple(2)]);
+            assert_eq!(done[0].1.solutions, vec![xsol(1), xsol(2)]);
             // Post-completion reply: dropped.
-            let late = c.on_event(P2, LiveMsg::Matches { qid, triples: vec![triple(3)] });
+            let late = c.on_event(P2, answer(qid, vec![xsol(3)]));
             assert!(late.is_empty());
             assert_eq!(c.counters.stale_replies, 2);
         }
@@ -2357,53 +1756,33 @@ mod tests {
         #[test]
         fn cross_query_replies_cannot_contaminate() {
             let mut c = core();
-            let q1 = QueryId(1);
-            let q2 = QueryId(2);
-            c.on_event(COORDINATOR, LiveMsg::Submit { qid: q1, pattern: pattern() });
-            c.on_event(IX, LiveMsg::Providers { qid: q1, pattern: pattern(), providers: vec![P1] });
-            let done = c.on_event(P1, LiveMsg::Matches { qid: q1, triples: vec![triple(1)] });
-            assert_eq!(finishes(&done).len(), 1);
+            let (q1, q2) = (QueryId(1), QueryId(2));
+            c.on_event(COORDINATOR, submit(q1));
+            c.on_event(IX, providers(q1, vec![P1]));
+            assert_eq!(finishes(&c.on_event(P1, answer(q1, vec![xsol(1)]))).len(), 1);
             // Query 2 starts; a late reply tagged with q1 arrives.
-            c.on_event(COORDINATOR, LiveMsg::Submit { qid: q2, pattern: pattern() });
-            c.on_event(
-                IX,
-                LiveMsg::Providers { qid: q2, pattern: pattern(), providers: vec![P1, P2] },
-            );
-            assert!(c.on_event(P1, LiveMsg::Matches { qid: q1, triples: vec![triple(8)] })
-                .is_empty());
-            let a1 = c.on_event(P1, LiveMsg::Matches { qid: q2, triples: vec![triple(2)] });
-            assert!(finishes(&a1).is_empty());
-            let a2 = c.on_event(P2, LiveMsg::Matches { qid: q2, triples: vec![triple(3)] });
-            let done = finishes(&a2);
+            c.on_event(COORDINATOR, submit(q2));
+            c.on_event(IX, providers(q2, vec![P1, P2]));
+            assert!(c.on_event(P1, answer(q1, vec![xsol(8)])).is_empty());
+            assert!(finishes(&c.on_event(P1, answer(q2, vec![xsol(2)]))).is_empty());
+            let done = finishes(&c.on_event(P2, answer(q2, vec![xsol(3)])));
             assert_eq!(done.len(), 1);
-            assert_eq!(done[0].1.triples, vec![triple(2), triple(3)], "q1's late reply excluded");
+            assert_eq!(done[0].1.solutions, vec![xsol(2), xsol(3)], "q1's late reply excluded");
         }
 
         #[test]
         fn exhausted_ack_deadline_purges_and_reports_partial() {
             let mut c = core();
             let qid = QueryId(7);
-            c.on_event(COORDINATOR, LiveMsg::Submit { qid, pattern: pattern() });
-            c.on_event(
-                IX,
-                LiveMsg::Providers { qid, pattern: pattern(), providers: vec![P1, P2] },
-            );
-            c.on_event(P1, LiveMsg::Matches { qid, triples: vec![triple(1)] });
+            c.on_event(COORDINATOR, submit(qid));
+            c.on_event(IX, providers(qid, vec![P1, P2]));
+            c.on_event(P1, answer(qid, vec![xsol(1)]));
             // P2 never answers: deadline at attempt 0 retries...
-            let retry = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::Ack { provider: P2, attempt: 0 } },
-            );
-            assert!(retry.iter().any(|a| matches!(
-                a,
-                Action::Send { to, msg: LiveMsg::SubQuery { .. } } if *to == P2
-            )));
+            let retry = c.on_event(COORDINATOR, deadline(qid, ack(P2, 0)));
+            assert_eq!(exec_targets(&retry), vec![P2]);
             assert_eq!(c.counters.retries, 1);
             // ...and the deadline at attempt 1 gives up.
-            let give_up = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::Ack { provider: P2, attempt: 1 } },
-            );
+            let give_up = c.on_event(COORDINATOR, deadline(qid, ack(P2, 1)));
             assert!(give_up.iter().any(|a| matches!(
                 a,
                 Action::Send { to, msg: LiveMsg::ProviderDead { provider, .. } }
@@ -2414,7 +1793,7 @@ mod tests {
             let answer = &done[0].1;
             assert!(!answer.complete);
             assert_eq!(answer.failed_providers, vec![P2]);
-            assert_eq!(answer.triples, vec![triple(1)]);
+            assert_eq!(answer.solutions, vec![xsol(1)]);
             assert_eq!(c.counters.ack_timeouts, 1);
         }
 
@@ -2422,22 +1801,12 @@ mod tests {
         fn failed_send_is_an_immediate_ack_timeout() {
             let mut c = core();
             let qid = QueryId(3);
-            c.on_event(COORDINATOR, LiveMsg::Submit { qid, pattern: pattern() });
-            let acts =
-                c.on_event(IX, LiveMsg::Providers { qid, pattern: pattern(), providers: vec![P1] });
-            let sub = acts
-                .iter()
-                .find_map(|a| match a {
-                    Action::Send { to, msg } if *to == P1 => Some(msg.clone()),
-                    _ => None,
-                })
-                .expect("subquery sent");
+            c.on_event(COORDINATOR, submit(qid));
+            assert_eq!(exec_targets(&c.on_event(IX, providers(qid, vec![P1]))), vec![P1]);
             // First failure retries (attempt 0 -> 1), second gives up.
-            let retry = c.on_send_failed(P1, sub.clone());
-            assert!(retry
-                .iter()
-                .any(|a| matches!(a, Action::Send { msg: LiveMsg::SubQuery { .. }, .. })));
-            let give_up = c.on_send_failed(P1, sub);
+            let retry = c.on_exec_failed(P1, &[qid]);
+            assert_eq!(exec_targets(&retry), vec![P1]);
+            let give_up = c.on_exec_failed(P1, &[qid]);
             let done = finishes(&give_up);
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
@@ -2449,88 +1818,63 @@ mod tests {
         fn lookup_timeout_retries_then_fails_within_deadline() {
             let mut c = core();
             let qid = QueryId(4);
-            c.on_event(COORDINATOR, LiveMsg::Submit { qid, pattern: pattern() });
+            c.on_event(COORDINATOR, submit(qid));
             let retry = c.on_event(
                 COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::Lookup { attempt: 0 } },
+                deadline(qid, DeadlineStage::Lookup { slot: 0, attempt: 0 }),
             );
-            assert!(retry
+            let lookup = retry
                 .iter()
-                .any(|a| matches!(a, Action::Send { msg: LiveMsg::Lookup { .. }, .. })));
-            let give_up = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::Lookup { attempt: 1 } },
-            );
-            let done = finishes(&give_up);
+                .find_map(|a| match a {
+                    Action::Send { msg: msg @ LiveMsg::Lookup { .. }, .. } => Some(msg.clone()),
+                    _ => None,
+                })
+                .expect("lookup retransmitted");
+            // The retransmission fails to send: an immediate timeout at
+            // attempt 1, which gives up.
+            let done = finishes(&c.on_send_failed(&lookup));
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
             assert_eq!(c.counters.lookup_failures, 1);
-        }
-
-        fn xsol(n: u64) -> Solution {
-            Solution::from_pairs([(
-                rdfmesh_rdf::Variable::new("x"),
-                Term::iri(&format!("http://example.org/s{n}")),
-            )])
+            assert_eq!(c.counters.send_failures, 1);
+            assert!(c.flights.is_empty());
         }
 
         #[test]
         fn solution_round_gathers_and_dedups_across_providers() {
             let mut c = core();
             let qid = QueryId(11);
-            c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitSol { qid, pattern: pattern(), filter: None, bound: None },
-            );
-            c.on_event(
-                IX,
-                LiveMsg::Providers { qid, pattern: pattern(), providers: vec![P1, P2] },
-            );
-            let a1 = c.on_event(P1, LiveMsg::Solutions { qid, solutions: vec![xsol(1), xsol(2)] });
-            assert!(finishes(&a1).is_empty());
+            c.on_event(COORDINATOR, submit(qid));
+            c.on_event(IX, providers(qid, vec![P1, P2]));
+            assert!(finishes(&c.on_event(P1, answer(qid, vec![xsol(1), xsol(2)]))).is_empty());
             // P2 repeats xsol(2) (a replicated triple): it collapses.
-            let a2 = c.on_event(P2, LiveMsg::Solutions { qid, solutions: vec![xsol(2), xsol(3)] });
-            let done = finishes(&a2);
+            let done = finishes(&c.on_event(P2, answer(qid, vec![xsol(2), xsol(3)])));
             assert_eq!(done.len(), 1);
             assert!(done[0].1.complete);
             assert_eq!(done[0].1.solutions, vec![xsol(1), xsol(2), xsol(3)]);
-            assert!(done[0].1.triples.is_empty());
         }
 
         #[test]
         fn solution_round_retry_reships_filter_and_bound() {
-            // An expired ack deadline on a solution round must retransmit
-            // the full SubQuerySol — same filter, same bound set — not a
-            // bare triple sub-query.
+            // An expired ack deadline must retransmit the full round —
+            // same filter, same bound set.
             let mut c = core();
             let qid = QueryId(12);
             let bound = vec![xsol(1)];
-            let filter = Expression::Bound(rdfmesh_rdf::Variable::new("x"));
-            c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitSol {
-                    qid,
-                    pattern: pattern(),
-                    filter: Some(filter.clone()),
-                    bound: Some(bound.clone()),
-                },
-            );
-            c.on_event(IX, LiveMsg::Providers { qid, pattern: pattern(), providers: vec![P1] });
-            let retry = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::Ack { provider: P1, attempt: 0 } },
-            );
+            let filter = Expression::Bound(Variable::new("x"));
+            let round = Round::chained(qid, pattern(), Some(filter.clone()), Some(bound.clone()));
+            c.on_event(COORDINATOR, LiveMsg::Submit { rounds: vec![round] });
+            c.on_event(IX, providers(qid, vec![P1]));
+            let retry = c.on_event(COORDINATOR, deadline(qid, ack(P1, 0)));
             let resent = retry
                 .iter()
                 .find_map(|a| match a {
-                    Action::Send { to, msg: LiveMsg::SubQuerySol { filter, bound, .. } }
-                        if *to == P1 =>
-                    {
-                        Some((filter.clone(), bound.clone()))
+                    Action::Exec { to, round } if *to == P1 => {
+                        Some((round.filter.clone(), round.bound.clone()))
                     }
                     _ => None,
                 })
-                .expect("retransmitted solution sub-query");
+                .expect("retransmitted round");
             assert_eq!(resent, (Some(filter), Some(bound)));
         }
 
@@ -2545,84 +1889,71 @@ mod tests {
             );
             let acts = c.on_event(
                 COORDINATOR,
-                LiveMsg::SubmitSol { qid, pattern: all, filter: None, bound: None },
+                LiveMsg::Submit { rounds: vec![Round::chained(qid, all, None, None)] },
             );
             assert!(
                 !acts.iter().any(|a| matches!(a, Action::Send { msg: LiveMsg::Lookup { .. }, .. })),
                 "the all-variable pattern has no key to look up"
             );
-            let targets: Vec<NodeId> = acts
-                .iter()
-                .filter_map(|a| match a {
-                    Action::Send { to, msg: LiveMsg::SubQuerySol { .. } } => Some(*to),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(targets, vec![P1, P2, P3], "flooded to every storage node in order");
-            c.on_event(P1, LiveMsg::Solutions { qid, solutions: vec![xsol(1)] });
-            c.on_event(P2, LiveMsg::Solutions { qid, solutions: Vec::new() });
-            let done = finishes(&c.on_event(P3, LiveMsg::Solutions { qid, solutions: Vec::new() }));
+            assert_eq!(
+                exec_targets(&acts),
+                vec![P1, P2, P3],
+                "flooded to every storage node in order"
+            );
+            c.on_event(P1, answer(qid, vec![xsol(1)]));
+            c.on_event(P2, answer(qid, Vec::new()));
+            let done = finishes(&c.on_event(P3, answer(qid, Vec::new())));
             assert_eq!(done.len(), 1);
             assert!(done[0].1.complete);
             assert_eq!(done[0].1.solutions, vec![xsol(1)]);
         }
 
         #[test]
-        fn submit_sol_batch_opens_each_round_independently() {
+        fn submit_batch_opens_each_round_independently() {
             let mut c = core();
             let (q1, q2) = (QueryId(21), QueryId(22));
-            c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitSolBatch {
-                    rounds: vec![
-                        SolRound { qid: q1, pattern: pattern(), filter: None, bound: None },
-                        SolRound { qid: q2, pattern: pattern(), filter: None, bound: None },
-                    ],
-                },
-            );
-            c.on_event(IX, LiveMsg::Providers { qid: q1, pattern: pattern(), providers: vec![P1] });
-            c.on_event(IX, LiveMsg::Providers { qid: q2, pattern: pattern(), providers: vec![P2] });
+            let rounds = vec![
+                Round::chained(q1, pattern(), None, None),
+                Round::chained(q2, pattern(), None, None),
+            ];
+            c.on_event(COORDINATOR, LiveMsg::Submit { rounds });
+            c.on_event(IX, providers(q1, vec![P1]));
+            c.on_event(IX, providers(q2, vec![P2]));
             // q2 finishes first; q1 is untouched by it.
-            let d2 = finishes(&c.on_event(P2, LiveMsg::Solutions { qid: q2, solutions: vec![xsol(2)] }));
+            let d2 = finishes(&c.on_event(P2, answer(q2, vec![xsol(2)])));
             assert_eq!(d2.len(), 1);
             assert_eq!(d2[0].0, q2);
             assert_eq!(d2[0].1.solutions, vec![xsol(2)]);
-            let d1 = finishes(&c.on_event(P1, LiveMsg::Solutions { qid: q1, solutions: vec![xsol(1)] }));
+            let d1 = finishes(&c.on_event(P1, answer(q1, vec![xsol(1)])));
             assert_eq!(d1.len(), 1);
             assert_eq!(d1[0].0, q1);
             assert_eq!(d1[0].1.solutions, vec![xsol(1)]);
-            assert!(c.in_flight.is_empty());
+            assert!(c.flights.is_empty());
         }
 
         #[test]
-        fn solutions_batch_answers_several_queries_in_one_frame() {
+        fn one_answer_frame_settles_several_queries() {
             let mut c = core();
             let (q1, q2) = (QueryId(31), QueryId(32));
             for qid in [q1, q2] {
-                c.on_event(
-                    COORDINATOR,
-                    LiveMsg::SubmitSol { qid, pattern: pattern(), filter: None, bound: None },
-                );
-                c.on_event(IX, LiveMsg::Providers { qid, pattern: pattern(), providers: vec![P1] });
+                c.on_event(COORDINATOR, submit(qid));
+                c.on_event(IX, providers(qid, vec![P1]));
             }
-            // One batched reply frame from P1 settles both rounds; a
-            // stale entry rides along and is dropped without effect.
-            let done = finishes(&c.on_event(
-                P1,
-                LiveMsg::SolutionsBatch {
-                    entries: vec![
-                        (q1, vec![xsol(1)]),
-                        (q2, vec![xsol(2)]),
-                        (QueryId(999), vec![xsol(9)]),
-                    ],
-                },
-            ));
+            // One reply frame from P1 settles both rounds; a stale entry
+            // rides along and is dropped without effect.
+            let entries = vec![
+                (q1, vec![vec![xsol(1)]]),
+                (q2, vec![vec![xsol(2)]]),
+                (QueryId(999), vec![vec![xsol(9)]]),
+            ];
+            let done = finishes(&c.on_event(P1, LiveMsg::Answer { entries }));
             assert_eq!(done.len(), 2);
             assert_eq!(done[0].0, q1);
             assert_eq!(done[0].1.solutions, vec![xsol(1)]);
             assert_eq!(done[1].0, q2);
             assert_eq!(done[1].1.solutions, vec![xsol(2)]);
-            assert!(c.in_flight.is_empty());
+            assert_eq!(c.counters.stale_replies, 1);
+            assert!(c.flights.is_empty());
         }
 
         #[test]
@@ -2630,37 +1961,28 @@ mod tests {
             let mut c = core();
             let (q1, q2) = (QueryId(41), QueryId(42));
             for qid in [q1, q2] {
-                c.on_event(
-                    COORDINATOR,
-                    LiveMsg::SubmitSol { qid, pattern: pattern(), filter: None, bound: None },
-                );
-                c.on_event(IX, LiveMsg::Providers { qid, pattern: pattern(), providers: vec![P1] });
+                c.on_event(COORDINATOR, submit(qid));
+                c.on_event(IX, providers(qid, vec![P1]));
             }
-            let batch = LiveMsg::SubQuerySolBatch {
-                rounds: vec![
-                    SolRound { qid: q1, pattern: pattern(), filter: None, bound: None },
-                    SolRound { qid: q2, pattern: pattern(), filter: None, bound: None },
-                ],
-                reply_to: COORDINATOR,
-            };
             // First failure retries both rounds; the second gives up on
             // both, each finishing as a partial answer naming P1.
-            let retry = c.on_send_failed(P1, batch.clone());
+            let retry = c.on_exec_failed(P1, &[q1, q2]);
             assert!(finishes(&retry).is_empty());
-            let give_up = c.on_send_failed(P1, batch);
-            let done = finishes(&give_up);
+            assert_eq!(exec_targets(&retry), vec![P1, P1]);
+            let done = finishes(&c.on_exec_failed(P1, &[q1, q2]));
             assert_eq!(done.len(), 2);
             for (_, answer) in &done {
                 assert!(!answer.complete);
                 assert_eq!(answer.failed_providers, vec![P1]);
             }
-            assert!(c.in_flight.is_empty());
+            assert_eq!(c.counters.send_failures, 2, "one failure per frame");
+            assert!(c.flights.is_empty());
         }
 
         #[test]
         fn distinct_buffer_gather_matches_naive_contains_dedup() {
             // Twin run: the same duplicated reply stream through the
-            // state machine (DistinctBuffer gather) and through the old
+            // state machine (DistinctBuffer gather) and through a
             // Vec-plus-contains accumulator must agree exactly —
             // first-seen order included.
             let streams: Vec<(NodeId, Vec<u64>)> =
@@ -2676,20 +1998,12 @@ mod tests {
             }
             let mut c = core();
             let qid = QueryId(71);
-            c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitSol { qid, pattern: pattern(), filter: None, bound: None },
-            );
-            c.on_event(
-                IX,
-                LiveMsg::Providers { qid, pattern: pattern(), providers: vec![P1, P2, P3] },
-            );
+            c.on_event(COORDINATOR, submit(qid));
+            c.on_event(IX, providers(qid, vec![P1, P2, P3]));
             let mut done = Vec::new();
             for (from, vals) in streams {
-                done.extend(finishes(&c.on_event(
-                    from,
-                    LiveMsg::Solutions { qid, solutions: vals.into_iter().map(xsol).collect() },
-                )));
+                let sols = vals.into_iter().map(xsol).collect();
+                done.extend(finishes(&c.on_event(from, answer(qid, sols))));
             }
             assert_eq!(done.len(), 1);
             assert_eq!(done[0].1.solutions, naive);
@@ -2705,12 +2019,18 @@ mod tests {
             )
         }
 
-        fn star2() -> Vec<TriplePattern> {
-            vec![pattern(), pattern2()]
+        fn submit_multi(qid: QueryId, strategy: DistStrategy) -> LiveMsg {
+            let round = Round::multiway(
+                qid,
+                vec![pattern(), pattern2()],
+                vec![Variable::new("x")],
+                strategy,
+            );
+            LiveMsg::Submit { rounds: vec![round] }
         }
 
-        fn xvar() -> Vec<Variable> {
-            vec![Variable::new("x")]
+        fn slot(qid: QueryId, slot: u32, providers: Vec<NodeId>) -> LiveMsg {
+            LiveMsg::Providers { qid, slot, providers }
         }
 
         fn xy(x: u64, y: u64) -> Solution {
@@ -2727,107 +2047,86 @@ mod tests {
             ])
         }
 
+        /// `(target, generation, peers)` of every HyperCube exec.
+        fn shuffles(actions: &[Action]) -> Vec<(NodeId, u32, Vec<NodeId>)> {
+            actions
+                .iter()
+                .filter_map(|a| match a {
+                    Action::Exec {
+                        to,
+                        round:
+                            Round {
+                                strategy: RoundStrategy::HyperCube { generation, peers, .. }, ..
+                            },
+                    } => Some((*to, *generation, peers.clone())),
+                    _ => None,
+                })
+                .collect()
+        }
+
         #[test]
         fn hypercube_round_resolves_every_slot_then_shuffles_and_gathers() {
             let mut c = core();
             let qid = QueryId(51);
-            let acts = c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitMulti {
-                    qid,
-                    patterns: star2(),
-                    join_vars: xvar(),
-                    strategy: DistStrategy::HyperCube,
-                },
-            );
+            let acts = c.on_event(COORDINATOR, submit_multi(qid, DistStrategy::HyperCube));
             let lookups: Vec<u32> = acts
                 .iter()
                 .filter_map(|a| match a {
-                    Action::Send { to, msg: LiveMsg::MultiLookup { idx, .. } } if *to == IX => {
-                        Some(*idx)
+                    Action::Send { to, msg: LiveMsg::Lookup { slot, .. } } if *to == IX => {
+                        Some(*slot)
                     }
                     _ => None,
                 })
                 .collect();
             assert_eq!(lookups, vec![0, 1], "one lookup per pattern slot");
             // Slot 1 resolves first; nothing fans out until slot 0 does.
-            let idle =
-                c.on_event(IX, LiveMsg::MultiProviders { qid, idx: 1, providers: vec![P2, P3] });
-            assert!(idle.is_empty());
-            let fan =
-                c.on_event(IX, LiveMsg::MultiProviders { qid, idx: 0, providers: vec![P1, P2] });
-            let execs: Vec<(NodeId, Vec<NodeId>)> = fan
-                .iter()
-                .filter_map(|a| match a {
-                    Action::Send { to, msg: LiveMsg::ShuffleExec { peers, .. } } => {
-                        Some((*to, peers.clone()))
-                    }
-                    _ => None,
-                })
-                .collect();
-            // The exec frame goes to the provider union, every frame
-            // naming the full sorted union as the partition targets.
-            assert_eq!(execs.iter().map(|(to, _)| *to).collect::<Vec<_>>(), vec![P1, P2, P3]);
-            for (_, peers) in &execs {
-                assert_eq!(peers, &vec![P1, P2, P3]);
-            }
+            assert!(c.on_event(IX, slot(qid, 1, vec![P2, P3])).is_empty());
+            let fan = c.on_event(IX, slot(qid, 0, vec![P1, P2]));
+            // The exec goes to the provider union, every copy naming the
+            // full sorted union as the partition targets.
+            let all = vec![P1, P2, P3];
+            assert_eq!(
+                shuffles(&fan),
+                all.iter().map(|p| (*p, 0, all.clone())).collect::<Vec<_>>()
+            );
             // Targets answer with locally-joined fragments; duplicates
             // across fragments collapse, and the round retires its peers.
-            assert!(finishes(&c.on_event(P1, LiveMsg::Solutions { qid, solutions: vec![xsol(1)] }))
-                .is_empty());
-            assert!(finishes(
-                &c.on_event(P2, LiveMsg::Solutions { qid, solutions: vec![xsol(1), xsol(2)] })
-            )
-            .is_empty());
-            let last = c.on_event(P3, LiveMsg::Solutions { qid, solutions: vec![xsol(3)] });
+            assert!(finishes(&c.on_event(P1, answer(qid, vec![xsol(1)]))).is_empty());
+            assert!(finishes(&c.on_event(P2, answer(qid, vec![xsol(1), xsol(2)]))).is_empty());
+            let last = c.on_event(P3, answer(qid, vec![xsol(3)]));
             let done = finishes(&last);
             assert_eq!(done.len(), 1);
             assert!(done[0].1.complete);
             assert_eq!(done[0].1.solutions, vec![xsol(1), xsol(2), xsol(3)]);
             let retire = last
                 .iter()
-                .filter(|a| matches!(a, Action::Send { msg: LiveMsg::MultiDone { .. }, .. }))
+                .filter(|a| matches!(a, Action::Send { msg: LiveMsg::Done { .. }, .. }))
                 .count();
-            assert_eq!(retire, 3, "MultiDone broadcast to every peer");
-            assert!(c.multi.is_empty(), "no state leaks after completion");
+            assert_eq!(retire, 3, "Done broadcast to every peer");
+            assert!(c.flights.is_empty(), "no state leaks after completion");
         }
 
         #[test]
         fn partial_eval_assembles_cross_site_rows_and_counts_stitches() {
             let mut c = core();
             let qid = QueryId(52);
-            c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitMulti {
-                    qid,
-                    patterns: star2(),
-                    join_vars: xvar(),
-                    strategy: DistStrategy::PartialEval,
-                },
-            );
-            c.on_event(IX, LiveMsg::MultiProviders { qid, idx: 0, providers: vec![P1] });
-            let fan = c.on_event(IX, LiveMsg::MultiProviders { qid, idx: 1, providers: vec![P2] });
-            assert!(fan.iter().any(|a| matches!(
-                a,
-                Action::Send { to, msg: LiveMsg::PartialExec { .. } } if *to == P1
-            )));
+            c.on_event(COORDINATOR, submit_multi(qid, DistStrategy::PartialEval));
+            c.on_event(IX, slot(qid, 0, vec![P1]));
+            let fan = c.on_event(IX, slot(qid, 1, vec![P2]));
+            assert_eq!(exec_targets(&fan), vec![P1, P2]);
+            // A reply with the wrong number of slot sets is stale.
+            c.on_event(P1, answer(qid, vec![xy(1, 1)]));
+            assert_eq!(c.counters.stale_replies, 1);
             // P1 holds only pattern-0 rows and P2 only pattern-1 rows:
             // no provider joins anything locally, so the one assembled
             // row is a stitched cross-site match.
-            c.on_event(
-                P1,
-                LiveMsg::PartialMatches {
-                    qid,
-                    per_pattern: vec![vec![xy(1, 1), xy(2, 1)], Vec::new()],
-                },
-            );
-            let done = finishes(&c.on_event(
-                P2,
-                LiveMsg::PartialMatches { qid, per_pattern: vec![Vec::new(), vec![xz(1, 5)]] },
-            ));
+            let p1 = vec![vec![xy(1, 1), xy(2, 1)], Vec::new()];
+            c.on_event(P1, LiveMsg::Answer { entries: vec![(qid, p1)] });
+            let p2 = vec![Vec::new(), vec![xz(1, 5)]];
+            let done = finishes(&c.on_event(P2, LiveMsg::Answer { entries: vec![(qid, p2)] }));
             assert_eq!(done.len(), 1);
             assert!(done[0].1.complete);
-            let expect = rdfmesh_sparql::solution::join(&[xy(1, 1)], &[xz(1, 5)]);
+            let expect = join(&[xy(1, 1)], &[xz(1, 5)]);
             assert_eq!(done[0].1.solutions, expect, "only the compatible pair assembles");
             assert_eq!(c.counters.stitched_rows, 1);
         }
@@ -2836,63 +2135,39 @@ mod tests {
         fn multiway_dead_provider_retries_then_purges_every_slot_it_served() {
             let mut c = core();
             let qid = QueryId(53);
-            c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitMulti {
-                    qid,
-                    patterns: star2(),
-                    join_vars: xvar(),
-                    strategy: DistStrategy::HyperCube,
-                },
-            );
-            c.on_event(IX, LiveMsg::MultiProviders { qid, idx: 0, providers: vec![P1, P2] });
-            c.on_event(IX, LiveMsg::MultiProviders { qid, idx: 1, providers: vec![P2] });
-            c.on_event(P1, LiveMsg::Solutions { qid, solutions: vec![xsol(1)] });
+            c.on_event(COORDINATOR, submit_multi(qid, DistStrategy::HyperCube));
+            c.on_event(IX, slot(qid, 0, vec![P1, P2]));
+            c.on_event(IX, slot(qid, 1, vec![P2]));
+            c.on_event(P1, answer(qid, vec![xsol(1)]));
             // P2 misses its deadline: first a full exec retransmission...
-            let retry = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::Ack { provider: P2, attempt: 0 } },
-            );
-            assert!(retry.iter().any(|a| matches!(
-                a,
-                Action::Send { to, msg: LiveMsg::ShuffleExec { .. } } if *to == P2
-            )));
+            let retry = c.on_event(COORDINATOR, deadline(qid, ack(P2, 0)));
+            assert_eq!(shuffles(&retry), vec![(P2, 0, vec![P1, P2])]);
             // ...then it is declared dead, purged from *both* pattern
             // rows, and the shuffle restarts over the survivors under a
-            // bumped generation (round-0 targets were stalled waiting
-            // for P2's partitions, so their fragments cannot be trusted
-            // to ever arrive).
-            let give_up = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::Ack { provider: P2, attempt: 1 } },
-            );
+            // bumped generation (generation-0 targets were stalled
+            // waiting for P2's partitions, so their fragments cannot be
+            // trusted to ever arrive).
+            let give_up = c.on_event(COORDINATOR, deadline(qid, ack(P2, 1)));
             let dead: usize = give_up
                 .iter()
-                .filter(|a| matches!(
-                    a,
-                    Action::Send { to, msg: LiveMsg::ProviderDead { provider, .. } }
-                        if *to == IX && *provider == P2
-                ))
+                .filter(|a| {
+                    matches!(
+                        a,
+                        Action::Send { to, msg: LiveMsg::ProviderDead { provider, .. } }
+                            if *to == IX && *provider == P2
+                    )
+                })
                 .count();
             assert_eq!(dead, 2, "one purge per pattern row naming P2");
             assert!(finishes(&give_up).is_empty(), "the restarted round is still in flight");
-            let restarts: Vec<(NodeId, u32, Vec<NodeId>)> = give_up
-                .iter()
-                .filter_map(|a| match a {
-                    Action::Send { to, msg: LiveMsg::ShuffleExec { round, peers, .. } } => {
-                        Some((*to, *round, peers.clone()))
-                    }
-                    _ => None,
-                })
-                .collect();
             assert_eq!(
-                restarts,
+                shuffles(&give_up),
                 vec![(P1, 1, vec![P1])],
                 "generation 1 re-executes over the surviving peer only"
             );
             // The survivor's generation-1 fragment finishes the round
             // partial: P2's data is lost, everything else survives.
-            let done = finishes(&c.on_event(P1, LiveMsg::Solutions { qid, solutions: vec![xsol(1)] }));
+            let done = finishes(&c.on_event(P1, answer(qid, vec![xsol(1)])));
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
             assert_eq!(done[0].1.failed_providers, vec![P2]);
@@ -2903,76 +2178,42 @@ mod tests {
         fn multiway_empty_provider_slot_finishes_complete_and_empty() {
             let mut c = core();
             let qid = QueryId(54);
-            c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitMulti {
-                    qid,
-                    patterns: star2(),
-                    join_vars: xvar(),
-                    strategy: DistStrategy::HyperCube,
-                },
-            );
+            c.on_event(COORDINATOR, submit_multi(qid, DistStrategy::HyperCube));
             // One pattern matches nothing anywhere: the conjunction is
             // empty, so the round finishes before contacting providers.
-            let done = finishes(&c.on_event(
-                IX,
-                LiveMsg::MultiProviders { qid, idx: 0, providers: Vec::new() },
-            ));
+            let done = finishes(&c.on_event(IX, slot(qid, 0, Vec::new())));
             assert_eq!(done.len(), 1);
             assert!(done[0].1.complete);
             assert!(done[0].1.solutions.is_empty());
-            assert!(c.multi.is_empty());
+            assert!(c.flights.is_empty());
         }
 
         #[test]
         fn multiway_lookup_timeout_retries_per_slot_then_fails() {
             let mut c = core();
             let qid = QueryId(55);
-            c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitMulti {
-                    qid,
-                    patterns: star2(),
-                    join_vars: xvar(),
-                    strategy: DistStrategy::PartialEval,
-                },
-            );
-            c.on_event(IX, LiveMsg::MultiProviders { qid, idx: 0, providers: vec![P1] });
+            c.on_event(COORDINATOR, submit_multi(qid, DistStrategy::PartialEval));
+            c.on_event(IX, slot(qid, 0, vec![P1]));
             // A stale deadline for the already-resolved slot is inert.
-            assert!(c
-                .on_event(
-                    COORDINATOR,
-                    LiveMsg::Deadline {
-                        qid,
-                        stage: DeadlineStage::MultiLookup { idx: 0, attempt: 0 },
-                    },
-                )
-                .is_empty());
+            let lookup = |slot, attempt| deadline(qid, DeadlineStage::Lookup { slot, attempt });
+            assert!(c.on_event(COORDINATOR, lookup(0, 0)).is_empty());
             // Slot 1's lookup never answers: retry, then give up.
-            let retry = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::MultiLookup { idx: 1, attempt: 0 } },
-            );
-            assert!(retry.iter().any(|a| matches!(
-                a,
-                Action::Send { msg: LiveMsg::MultiLookup { idx: 1, .. }, .. }
-            )));
-            let give_up = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::MultiLookup { idx: 1, attempt: 1 } },
-            );
-            let done = finishes(&give_up);
+            let retry = c.on_event(COORDINATOR, lookup(1, 0));
+            assert!(retry
+                .iter()
+                .any(|a| matches!(a, Action::Send { msg: LiveMsg::Lookup { slot: 1, .. }, .. })));
+            let done = finishes(&c.on_event(COORDINATOR, lookup(1, 1)));
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
             assert_eq!(c.counters.lookup_failures, 1);
-            assert!(c.multi.is_empty());
+            assert!(c.flights.is_empty());
         }
 
         /// One abstract protocol event for the interleaving property.
         #[derive(Debug, Clone)]
         enum Ev {
             Providers { stale: bool, providers: Vec<NodeId> },
-            Matches { stale_qid: bool, from: NodeId, triples: Vec<Triple> },
+            Answer { stale_qid: bool, from: NodeId, vals: Vec<u64> },
             AckDeadline { provider: NodeId, attempt: u8 },
             LookupDeadline { attempt: u8 },
             Overall,
@@ -2987,11 +2228,7 @@ mod tests {
                 (any::<bool>(), proptest::collection::vec(arb_provider(), 0..4))
                     .prop_map(|(stale, providers)| Ev::Providers { stale, providers }),
                 (any::<bool>(), arb_provider(), proptest::collection::vec(0u64..6, 0..3))
-                    .prop_map(|(stale_qid, from, ts)| Ev::Matches {
-                        stale_qid,
-                        from,
-                        triples: ts.into_iter().map(triple).collect(),
-                    }),
+                    .prop_map(|(stale_qid, from, vals)| Ev::Answer { stale_qid, from, vals }),
                 (arb_provider(), 0u8..3)
                     .prop_map(|(provider, attempt)| Ev::AckDeadline { provider, attempt }),
                 (0u8..3).prop_map(|attempt| Ev::LookupDeadline { attempt }),
@@ -3020,58 +2257,40 @@ mod tests {
                     }
                     Ok(())
                 };
-                record(
-                    c.on_event(COORDINATOR, LiveMsg::Submit { qid, pattern: pattern() }),
-                    &mut done,
-                )?;
+                record(c.on_event(COORDINATOR, submit(qid)), &mut done)?;
                 for ev in &events {
                     let actions = match ev.clone() {
-                        Ev::Providers { stale: s, providers } => c.on_event(
-                            IX,
-                            LiveMsg::Providers {
-                                qid: if s { stale } else { qid },
-                                pattern: pattern(),
-                                providers,
-                            },
-                        ),
-                        Ev::Matches { stale_qid, from, triples } => c.on_event(
+                        Ev::Providers { stale: s, providers: list } => {
+                            c.on_event(IX, providers(if s { stale } else { qid }, list))
+                        }
+                        Ev::Answer { stale_qid, from, vals } => c.on_event(
                             from,
-                            LiveMsg::Matches { qid: if stale_qid { stale } else { qid }, triples },
+                            answer(if stale_qid { stale } else { qid }, vals.into_iter().map(xsol).collect()),
                         ),
-                        Ev::AckDeadline { provider, attempt } => c.on_event(
-                            COORDINATOR,
-                            LiveMsg::Deadline {
-                                qid,
-                                stage: DeadlineStage::Ack { provider, attempt },
-                            },
-                        ),
+                        Ev::AckDeadline { provider, attempt } => {
+                            c.on_event(COORDINATOR, deadline(qid, ack(provider, attempt)))
+                        }
                         Ev::LookupDeadline { attempt } => c.on_event(
                             COORDINATOR,
-                            LiveMsg::Deadline { qid, stage: DeadlineStage::Lookup { attempt } },
+                            deadline(qid, DeadlineStage::Lookup { slot: 0, attempt }),
                         ),
-                        Ev::Overall => c.on_event(
-                            COORDINATOR,
-                            LiveMsg::Deadline { qid, stage: DeadlineStage::Overall },
-                        ),
+                        Ev::Overall => c.on_event(COORDINATOR, deadline(qid, DeadlineStage::Overall)),
                     };
                     record(actions, &mut done)?;
                 }
                 // The overall deadline always fires eventually.
-                record(
-                    c.on_event(COORDINATOR, LiveMsg::Deadline { qid, stage: DeadlineStage::Overall }),
-                    &mut done,
-                )?;
+                record(c.on_event(COORDINATOR, deadline(qid, DeadlineStage::Overall)), &mut done)?;
                 prop_assert_eq!(done.len(), 1, "exactly one completion, never two");
                 let answer = &done[0];
                 if answer.complete {
                     prop_assert!(answer.failed_providers.is_empty());
                 }
-                // Dedup invariant: no triple reported twice.
+                // Dedup invariant: no solution reported twice.
                 let mut seen = std::collections::HashSet::new();
-                for t in &answer.triples {
-                    prop_assert!(seen.insert(t.clone()), "duplicate triple in answer");
+                for s in &answer.solutions {
+                    prop_assert!(seen.insert(s.clone()), "duplicate solution in answer");
                 }
-                prop_assert!(c.in_flight.is_empty(), "no state leaks after completion");
+                prop_assert!(c.flights.is_empty(), "no state leaks after completion");
             }
         }
 
@@ -3096,7 +2315,7 @@ mod tests {
         #[derive(Debug, Clone)]
         enum MEv {
             Providers { q: usize, stale: bool, providers: Vec<NodeId> },
-            Solutions { q: usize, stale_qid: bool, from: NodeId, vals: Vec<u64> },
+            Answer { q: usize, stale_qid: bool, from: NodeId, vals: Vec<u64> },
             Batch { from: NodeId, entries: Vec<(usize, u64)> },
             AckDeadline { q: usize, provider: NodeId, attempt: u8 },
             LookupDeadline { q: usize, attempt: u8 },
@@ -3108,11 +2327,11 @@ mod tests {
                 (0..NQ, any::<bool>(), proptest::collection::vec(arb_provider(), 0..4))
                     .prop_map(|(q, stale, providers)| MEv::Providers { q, stale, providers }),
                 (0..NQ, any::<bool>(), arb_provider(), proptest::collection::vec(0u64..6, 0..3))
-                    .prop_map(|(q, stale_qid, from, vals)| MEv::Solutions {
+                    .prop_map(|(q, stale_qid, from, vals)| MEv::Answer {
                         q,
                         stale_qid,
                         from,
-                        vals,
+                        vals
                     }),
                 (arb_provider(), proptest::collection::vec((0..NQ, 0u64..6), 0..4))
                     .prop_map(|(from, entries)| MEv::Batch { from, entries }),
@@ -3125,11 +2344,11 @@ mod tests {
 
         proptest! {
             /// [`NQ`] queries submitted in one batched frame, then an
-            /// arbitrary interleaving of per-query providers, plain and
-            /// batched replies, stale frames, and deadlines: every query
-            /// finishes exactly once, within its own deadline, with only
-            /// solutions from its own universe — and the machine retires
-            /// all per-query state.
+            /// arbitrary interleaving of per-query providers, single and
+            /// multi-entry answers, stale frames, and deadlines: every
+            /// query finishes exactly once, within its own deadline, with
+            /// only solutions from its own universe — and the machine
+            /// retires all per-query state.
             #[test]
             fn concurrent_queries_finish_once_without_contamination(
                 events in proptest::collection::vec(arb_mev(), 0..60)
@@ -3145,76 +2364,46 @@ mod tests {
                     }
                     Ok(())
                 };
-                record(
-                    c.on_event(
-                        COORDINATOR,
-                        LiveMsg::SubmitSolBatch {
-                            rounds: (0..NQ)
-                                .map(|q| SolRound {
-                                    qid: qid_of(q),
-                                    pattern: pattern(),
-                                    filter: None,
-                                    bound: None,
-                                })
-                                .collect(),
-                        },
-                    ),
-                    &mut done,
-                )?;
+                let rounds = (0..NQ).map(|q| Round::chained(qid_of(q), pattern(), None, None)).collect();
+                record(c.on_event(COORDINATOR, LiveMsg::Submit { rounds }), &mut done)?;
                 for ev in &events {
                     let actions = match ev.clone() {
-                        MEv::Providers { q, stale: s, providers } => c.on_event(
-                            IX,
-                            LiveMsg::Providers {
-                                qid: if s { stale } else { qid_of(q) },
-                                pattern: pattern(),
-                                providers,
-                            },
-                        ),
-                        MEv::Solutions { q, stale_qid, from, vals } => c.on_event(
+                        MEv::Providers { q, stale: s, providers: list } => {
+                            c.on_event(IX, providers(if s { stale } else { qid_of(q) }, list))
+                        }
+                        MEv::Answer { q, stale_qid, from, vals } => c.on_event(
                             from,
-                            LiveMsg::Solutions {
-                                qid: if stale_qid { stale } else { qid_of(q) },
-                                solutions: vals.into_iter().map(|v| usol(q, v)).collect(),
-                            },
+                            answer(
+                                if stale_qid { stale } else { qid_of(q) },
+                                vals.into_iter().map(|v| usol(q, v)).collect(),
+                            ),
                         ),
                         MEv::Batch { from, entries } => c.on_event(
                             from,
-                            LiveMsg::SolutionsBatch {
+                            LiveMsg::Answer {
                                 entries: entries
                                     .into_iter()
-                                    .map(|(q, v)| (qid_of(q), vec![usol(q, v)]))
+                                    .map(|(q, v)| (qid_of(q), vec![vec![usol(q, v)]]))
                                     .collect(),
                             },
                         ),
-                        MEv::AckDeadline { q, provider, attempt } => c.on_event(
-                            COORDINATOR,
-                            LiveMsg::Deadline {
-                                qid: qid_of(q),
-                                stage: DeadlineStage::Ack { provider, attempt },
-                            },
-                        ),
+                        MEv::AckDeadline { q, provider, attempt } => {
+                            c.on_event(COORDINATOR, deadline(qid_of(q), ack(provider, attempt)))
+                        }
                         MEv::LookupDeadline { q, attempt } => c.on_event(
                             COORDINATOR,
-                            LiveMsg::Deadline {
-                                qid: qid_of(q),
-                                stage: DeadlineStage::Lookup { attempt },
-                            },
+                            deadline(qid_of(q), DeadlineStage::Lookup { slot: 0, attempt }),
                         ),
-                        MEv::Overall { q } => c.on_event(
-                            COORDINATOR,
-                            LiveMsg::Deadline { qid: qid_of(q), stage: DeadlineStage::Overall },
-                        ),
+                        MEv::Overall { q } => {
+                            c.on_event(COORDINATOR, deadline(qid_of(q), DeadlineStage::Overall))
+                        }
                     };
                     record(actions, &mut done)?;
                 }
                 // Every query's overall deadline fires eventually.
                 for q in 0..NQ {
                     record(
-                        c.on_event(
-                            COORDINATOR,
-                            LiveMsg::Deadline { qid: qid_of(q), stage: DeadlineStage::Overall },
-                        ),
+                        c.on_event(COORDINATOR, deadline(qid_of(q), DeadlineStage::Overall)),
                         &mut done,
                     )?;
                 }
@@ -3235,7 +2424,7 @@ mod tests {
                         seen.push(s);
                     }
                 }
-                prop_assert!(c.in_flight.is_empty(), "no per-query state leaks");
+                prop_assert!(c.flights.is_empty(), "no per-query state leaks");
             }
         }
     }

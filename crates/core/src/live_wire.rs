@@ -6,7 +6,7 @@
 //! layer of [`rdfmesh_sparql::solution::wire`] — one tag byte followed
 //! by the variant's fields — so a [`rdfmesh_net::TcpCluster`] can carry
 //! the identical protocol between OS processes. `docs/DEPLOYMENT.md`
-//! documents the full frame and payload layout.
+//! documents the full frame and payload layout (wire version 4).
 //!
 //! Decoding is paranoid by construction: every read is bounds-checked by
 //! [`Reader`], unknown tags are rejected, and trailing bytes fail the
@@ -14,44 +14,26 @@
 //! turn into a half-parsed message.
 
 use rdfmesh_net::{NodeId, WireFault, WireMsg};
-use rdfmesh_rdf::{TermPattern, Triple, TriplePattern, Variable};
+use rdfmesh_rdf::{TermPattern, TriplePattern, Variable};
 use rdfmesh_sparql::expr::wire::{put_expr, read_expr};
-use rdfmesh_sparql::expr::Expression;
 use rdfmesh_sparql::solution::wire::{
     put_solutions, put_str, put_term, put_u32, put_u64, read_solutions, Reader, WireError,
 };
 use rdfmesh_sparql::solution::Solution;
 
-use crate::config::DistStrategy;
-use crate::live::{DeadlineStage, LiveMsg, QueryId, SolRound};
+use crate::live::{DeadlineStage, LiveMsg, QueryId, Round, RoundStrategy};
 
 // One tag byte per `LiveMsg` variant.
 const TAG_SUBMIT: u8 = 1;
-const TAG_SUBMIT_SOL: u8 = 2;
-const TAG_LOOKUP: u8 = 3;
-const TAG_PROVIDERS: u8 = 4;
-const TAG_SUB_QUERY: u8 = 5;
-const TAG_MATCHES: u8 = 6;
-const TAG_SUB_QUERY_SOL: u8 = 7;
-const TAG_SOLUTIONS: u8 = 8;
-const TAG_PROVIDER_DEAD: u8 = 9;
+const TAG_LOOKUP: u8 = 2;
+const TAG_PROVIDERS: u8 = 3;
+const TAG_EXEC: u8 = 4;
+const TAG_ANSWER: u8 = 5;
+const TAG_SHUFFLE_PART: u8 = 6;
+const TAG_DONE: u8 = 7;
+const TAG_PROVIDER_DEAD: u8 = 8;
+const TAG_PUBLISH: u8 = 9;
 const TAG_DEADLINE: u8 = 10;
-const TAG_PUBLISH: u8 = 11;
-// Batched frames (wire version 2; see docs/DEPLOYMENT.md).
-const TAG_SUBMIT_SOL_BATCH: u8 = 12;
-const TAG_SUB_QUERY_SOL_BATCH: u8 = 13;
-const TAG_SOLUTIONS_BATCH: u8 = 14;
-// Multiway distribution strategies (wire version 3): HyperCube shuffle
-// and partial-evaluation-and-assembly. Lone chained-query frames never
-// use these tags, so wire-v1/v2 byte layouts are untouched.
-const TAG_SUBMIT_MULTI: u8 = 15;
-const TAG_MULTI_LOOKUP: u8 = 16;
-const TAG_MULTI_PROVIDERS: u8 = 17;
-const TAG_SHUFFLE_EXEC: u8 = 18;
-const TAG_SHUFFLE_PART: u8 = 19;
-const TAG_PARTIAL_EXEC: u8 = 20;
-const TAG_PARTIAL_MATCHES: u8 = 21;
-const TAG_MULTI_DONE: u8 = 22;
 
 // Pattern positions: variable (name string) or constant (tagged term).
 const POS_VAR: u8 = 0;
@@ -61,272 +43,171 @@ const POS_CONST: u8 = 1;
 const STAGE_LOOKUP: u8 = 0;
 const STAGE_ACK: u8 = 1;
 const STAGE_OVERALL: u8 = 2;
-const STAGE_MULTI_LOOKUP: u8 = 3;
 
-// `DistStrategy` sub-tags.
-const DIST_CHAINED: u8 = 0;
-const DIST_HYPERCUBE: u8 = 1;
-const DIST_PARTIAL_EVAL: u8 = 2;
+// `RoundStrategy` sub-tags.
+const STRATEGY_CHAINED: u8 = 0;
+const STRATEGY_HYPERCUBE: u8 = 1;
+const STRATEGY_PARTIAL_EVAL: u8 = 2;
 
 // `Option<_>` presence flags.
 const ABSENT: u8 = 0;
 const PRESENT: u8 = 1;
 
-fn fault(e: WireError) -> WireFault {
-    WireFault(e.0)
+type Read<T> = Result<T, WireError>;
+
+fn put_vec<T>(out: &mut Vec<u8>, items: &[T], put: impl Fn(&mut Vec<u8>, &T)) {
+    put_u32(out, items.len() as u32);
+    items.iter().for_each(|item| put(out, item));
 }
 
-fn put_term_pattern(out: &mut Vec<u8>, tp: &TermPattern) {
-    match tp {
-        TermPattern::Var(v) => {
-            out.push(POS_VAR);
-            put_str(out, v.as_str());
-        }
-        TermPattern::Const(t) => {
-            out.push(POS_CONST);
-            put_term(out, t);
+fn read_vec<T>(r: &mut Reader<'_>, read: impl Fn(&mut Reader<'_>) -> Read<T>) -> Read<Vec<T>> {
+    let count = r.u32()? as usize;
+    let mut items = Vec::with_capacity(count.min(1024));
+    for _ in 0..count {
+        items.push(read(r)?);
+    }
+    Ok(items)
+}
+
+fn put_opt<T>(out: &mut Vec<u8>, value: &Option<T>, put: impl Fn(&mut Vec<u8>, &T)) {
+    match value {
+        None => out.push(ABSENT),
+        Some(v) => {
+            out.push(PRESENT);
+            put(out, v);
         }
     }
 }
 
-fn read_term_pattern(r: &mut Reader<'_>) -> Result<TermPattern, WireError> {
+fn read_opt<T>(r: &mut Reader<'_>, read: impl Fn(&mut Reader<'_>) -> Read<T>) -> Read<Option<T>> {
     match r.u8()? {
-        POS_VAR => Ok(TermPattern::Var(Variable::new(r.str()?))),
-        POS_CONST => Ok(TermPattern::Const(r.term()?)),
-        _ => Err(WireError("unknown term-pattern tag")),
+        ABSENT => Ok(None),
+        PRESENT => Ok(Some(read(r)?)),
+        _ => Err(WireError("unknown option flag")),
     }
+}
+
+fn put_node(out: &mut Vec<u8>, id: &NodeId) {
+    put_u64(out, id.0);
+}
+
+fn read_node(r: &mut Reader<'_>) -> Read<NodeId> {
+    Ok(NodeId(r.u64()?))
+}
+
+fn put_var(out: &mut Vec<u8>, v: &Variable) {
+    put_str(out, v.as_str());
+}
+
+fn read_var(r: &mut Reader<'_>) -> Read<Variable> {
+    Ok(Variable::new(r.str()?))
+}
+
+fn put_sets(out: &mut Vec<u8>, sets: &[Vec<Solution>]) {
+    put_vec(out, sets, |out, set| put_solutions(out, set));
+}
+
+fn read_sets(r: &mut Reader<'_>) -> Read<Vec<Vec<Solution>>> {
+    read_vec(r, read_solutions)
 }
 
 fn put_pattern(out: &mut Vec<u8>, p: &TriplePattern) {
-    put_term_pattern(out, &p.subject);
-    put_term_pattern(out, &p.predicate);
-    put_term_pattern(out, &p.object);
+    for tp in [&p.subject, &p.predicate, &p.object] {
+        match tp {
+            TermPattern::Var(v) => {
+                out.push(POS_VAR);
+                put_var(out, v);
+            }
+            TermPattern::Const(t) => {
+                out.push(POS_CONST);
+                put_term(out, t);
+            }
+        }
+    }
 }
 
-fn read_pattern(r: &mut Reader<'_>) -> Result<TriplePattern, WireError> {
-    let subject = read_term_pattern(r)?;
-    let predicate = read_term_pattern(r)?;
-    let object = read_term_pattern(r)?;
+fn read_pattern(r: &mut Reader<'_>) -> Read<TriplePattern> {
+    let mut position = || match r.u8()? {
+        POS_VAR => Ok(TermPattern::Var(read_var(r)?)),
+        POS_CONST => Ok(TermPattern::Const(r.term()?)),
+        _ => Err(WireError("unknown term-pattern tag")),
+    };
+    let (subject, predicate, object) = (position()?, position()?, position()?);
     Ok(TriplePattern::new(subject, predicate, object))
 }
 
-fn put_triples(out: &mut Vec<u8>, triples: &[Triple]) {
-    put_u32(out, triples.len() as u32);
-    for t in triples {
-        put_term(out, &t.subject);
-        put_term(out, &t.predicate);
-        put_term(out, &t.object);
-    }
-}
-
-fn read_triples(r: &mut Reader<'_>) -> Result<Vec<Triple>, WireError> {
-    let count = r.u32()? as usize;
-    let mut triples = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let subject = r.term()?;
-        let predicate = r.term()?;
-        let object = r.term()?;
-        triples.push(Triple { subject, predicate, object });
-    }
-    Ok(triples)
-}
-
-fn put_node_ids(out: &mut Vec<u8>, ids: &[NodeId]) {
-    put_u32(out, ids.len() as u32);
-    for id in ids {
-        put_u64(out, id.0);
-    }
-}
-
-fn read_node_ids(r: &mut Reader<'_>) -> Result<Vec<NodeId>, WireError> {
-    let count = r.u32()? as usize;
-    let mut ids = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        ids.push(NodeId(r.u64()?));
-    }
-    Ok(ids)
-}
-
-fn put_opt_expr(out: &mut Vec<u8>, filter: &Option<Expression>) {
-    match filter {
-        None => out.push(ABSENT),
-        Some(expr) => {
-            out.push(PRESENT);
-            put_expr(out, expr);
-        }
-    }
-}
-
-fn read_opt_expr(r: &mut Reader<'_>) -> Result<Option<Expression>, WireError> {
-    match r.u8()? {
-        ABSENT => Ok(None),
-        PRESENT => Ok(Some(read_expr(r)?)),
-        _ => Err(WireError("unknown option flag")),
-    }
-}
-
-fn put_opt_solutions(out: &mut Vec<u8>, bound: &Option<Vec<Solution>>) {
-    match bound {
-        None => out.push(ABSENT),
-        Some(sols) => {
-            out.push(PRESENT);
-            put_solutions(out, sols);
-        }
-    }
-}
-
-fn read_opt_solutions(r: &mut Reader<'_>) -> Result<Option<Vec<Solution>>, WireError> {
-    match r.u8()? {
-        ABSENT => Ok(None),
-        PRESENT => Ok(Some(read_solutions(r)?)),
-        _ => Err(WireError("unknown option flag")),
-    }
-}
-
-fn put_sol_round(out: &mut Vec<u8>, round: &SolRound) {
+fn put_round(out: &mut Vec<u8>, round: &Round) {
     put_u64(out, round.qid.0);
-    put_pattern(out, &round.pattern);
-    put_opt_expr(out, &round.filter);
-    put_opt_solutions(out, &round.bound);
+    put_vec(out, &round.patterns, put_pattern);
+    put_opt(out, &round.filter, put_expr);
+    put_opt(out, &round.bound, |out, sols| put_solutions(out, sols));
+    match &round.strategy {
+        RoundStrategy::Chained => out.push(STRATEGY_CHAINED),
+        RoundStrategy::HyperCube { join_vars, generation, peers } => {
+            out.push(STRATEGY_HYPERCUBE);
+            put_vec(out, join_vars, put_var);
+            put_u32(out, *generation);
+            put_vec(out, peers, put_node);
+        }
+        RoundStrategy::PartialEval => out.push(STRATEGY_PARTIAL_EVAL),
+    }
 }
 
-fn read_sol_round(r: &mut Reader<'_>) -> Result<SolRound, WireError> {
+fn read_round(r: &mut Reader<'_>) -> Read<Round> {
     let qid = QueryId(r.u64()?);
-    let pattern = read_pattern(r)?;
-    let filter = read_opt_expr(r)?;
-    let bound = read_opt_solutions(r)?;
-    Ok(SolRound { qid, pattern, filter, bound })
-}
-
-fn put_sol_rounds(out: &mut Vec<u8>, rounds: &[SolRound]) {
-    put_u32(out, rounds.len() as u32);
-    for round in rounds {
-        put_sol_round(out, round);
-    }
-}
-
-fn read_sol_rounds(r: &mut Reader<'_>) -> Result<Vec<SolRound>, WireError> {
-    let count = r.u32()? as usize;
-    let mut rounds = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        rounds.push(read_sol_round(r)?);
-    }
-    Ok(rounds)
-}
-
-fn put_patterns(out: &mut Vec<u8>, patterns: &[TriplePattern]) {
-    put_u32(out, patterns.len() as u32);
-    for p in patterns {
-        put_pattern(out, p);
-    }
-}
-
-fn read_patterns(r: &mut Reader<'_>) -> Result<Vec<TriplePattern>, WireError> {
-    let count = r.u32()? as usize;
-    let mut patterns = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        patterns.push(read_pattern(r)?);
-    }
-    Ok(patterns)
-}
-
-fn put_vars(out: &mut Vec<u8>, vars: &[Variable]) {
-    put_u32(out, vars.len() as u32);
-    for v in vars {
-        put_str(out, v.as_str());
-    }
-}
-
-fn read_vars(r: &mut Reader<'_>) -> Result<Vec<Variable>, WireError> {
-    let count = r.u32()? as usize;
-    let mut vars = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        vars.push(Variable::new(r.str()?));
-    }
-    Ok(vars)
-}
-
-fn put_solution_sets(out: &mut Vec<u8>, sets: &[Vec<Solution>]) {
-    put_u32(out, sets.len() as u32);
-    for set in sets {
-        put_solutions(out, set);
-    }
-}
-
-fn read_solution_sets(r: &mut Reader<'_>) -> Result<Vec<Vec<Solution>>, WireError> {
-    let count = r.u32()? as usize;
-    let mut sets = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        sets.push(read_solutions(r)?);
-    }
-    Ok(sets)
-}
-
-fn put_strategy(out: &mut Vec<u8>, strategy: DistStrategy) {
-    out.push(match strategy {
-        DistStrategy::Chained => DIST_CHAINED,
-        DistStrategy::HyperCube => DIST_HYPERCUBE,
-        DistStrategy::PartialEval => DIST_PARTIAL_EVAL,
-    });
-}
-
-fn read_strategy(r: &mut Reader<'_>) -> Result<DistStrategy, WireError> {
-    match r.u8()? {
-        DIST_CHAINED => Ok(DistStrategy::Chained),
-        DIST_HYPERCUBE => Ok(DistStrategy::HyperCube),
-        DIST_PARTIAL_EVAL => Ok(DistStrategy::PartialEval),
-        _ => Err(WireError("unknown dist-strategy tag")),
-    }
+    let patterns = read_vec(r, read_pattern)?;
+    let filter = read_opt(r, read_expr)?;
+    let bound = read_opt(r, read_solutions)?;
+    let strategy = match r.u8()? {
+        STRATEGY_CHAINED => RoundStrategy::Chained,
+        STRATEGY_HYPERCUBE => RoundStrategy::HyperCube {
+            join_vars: read_vec(r, read_var)?,
+            generation: r.u32()?,
+            peers: read_vec(r, read_node)?,
+        },
+        STRATEGY_PARTIAL_EVAL => RoundStrategy::PartialEval,
+        _ => return Err(WireError("unknown round-strategy tag")),
+    };
+    Ok(Round { qid, patterns, filter, bound, strategy })
 }
 
 fn put_stage(out: &mut Vec<u8>, stage: &DeadlineStage) {
     match stage {
-        DeadlineStage::Lookup { attempt } => {
+        DeadlineStage::Lookup { slot, attempt } => {
             out.push(STAGE_LOOKUP);
+            put_u32(out, *slot);
             out.push(*attempt);
         }
         DeadlineStage::Ack { provider, attempt } => {
             out.push(STAGE_ACK);
-            put_u64(out, provider.0);
+            put_node(out, provider);
             out.push(*attempt);
         }
         DeadlineStage::Overall => out.push(STAGE_OVERALL),
-        DeadlineStage::MultiLookup { idx, attempt } => {
-            out.push(STAGE_MULTI_LOOKUP);
-            put_u32(out, *idx);
-            out.push(*attempt);
-        }
     }
 }
 
-fn read_stage(r: &mut Reader<'_>) -> Result<DeadlineStage, WireError> {
-    match r.u8()? {
-        STAGE_LOOKUP => Ok(DeadlineStage::Lookup { attempt: r.u8()? }),
-        STAGE_ACK => {
-            let provider = NodeId(r.u64()?);
-            Ok(DeadlineStage::Ack { provider, attempt: r.u8()? })
-        }
-        STAGE_OVERALL => Ok(DeadlineStage::Overall),
-        STAGE_MULTI_LOOKUP => {
-            let idx = r.u32()?;
-            Ok(DeadlineStage::MultiLookup { idx, attempt: r.u8()? })
-        }
-        _ => Err(WireError("unknown deadline-stage tag")),
-    }
+fn read_stage(r: &mut Reader<'_>) -> Read<DeadlineStage> {
+    Ok(match r.u8()? {
+        STAGE_LOOKUP => DeadlineStage::Lookup { slot: r.u32()?, attempt: r.u8()? },
+        STAGE_ACK => DeadlineStage::Ack { provider: read_node(r)?, attempt: r.u8()? },
+        STAGE_OVERALL => DeadlineStage::Overall,
+        _ => return Err(WireError("unknown deadline-stage tag")),
+    })
 }
 
 // Rough per-item encoded sizes feeding [`size_hint`]. They only have to
 // land within a reallocation or two of the truth; patterns and header
-// fields fit in `BASE_HINT`, solutions/triples dominate everything else.
+// fields fit in `BASE_HINT`, solutions dominate everything else.
 const BASE_HINT: usize = 96;
 const SOLUTION_HINT: usize = 48;
 
-fn solutions_hint(solutions: &[Solution]) -> usize {
-    solutions.len() * SOLUTION_HINT
+fn sets_hint(sets: &[Vec<Solution>]) -> usize {
+    sets.iter().map(|set| 8 + set.len() * SOLUTION_HINT).sum()
 }
 
-fn round_hint(round: &SolRound) -> usize {
-    BASE_HINT + round.bound.as_deref().map_or(0, solutions_hint)
+fn round_hint(round: &Round) -> usize {
+    BASE_HINT * round.patterns.len() + round.bound.as_deref().map_or(0, |b| b.len() * SOLUTION_HINT)
 }
 
 /// Estimates the encoded size of `msg` so [`WireMsg::encode_wire`] can
@@ -334,328 +215,130 @@ fn round_hint(round: &SolRound) -> usize {
 /// through repeated doublings — batched frames in particular start in
 /// the kilobytes.
 fn size_hint(msg: &LiveMsg) -> usize {
-    match msg {
-        LiveMsg::SubmitSol { bound, .. } | LiveMsg::SubQuerySol { bound, .. } => {
-            BASE_HINT + bound.as_deref().map_or(0, solutions_hint)
+    16 + match msg {
+        LiveMsg::Submit { rounds } | LiveMsg::Exec { rounds, .. } => {
+            rounds.iter().map(round_hint).sum::<usize>()
         }
-        LiveMsg::Matches { triples, .. } => BASE_HINT + triples.len() * SOLUTION_HINT,
-        LiveMsg::Solutions { solutions, .. } => BASE_HINT + solutions_hint(solutions),
-        LiveMsg::Providers { providers, .. } => BASE_HINT + providers.len() * 8,
-        LiveMsg::Publish { keys, .. } => BASE_HINT + keys.len() * 8,
-        LiveMsg::SubmitSolBatch { rounds } | LiveMsg::SubQuerySolBatch { rounds, .. } => {
-            16 + rounds.iter().map(round_hint).sum::<usize>()
-        }
-        LiveMsg::SolutionsBatch { entries } => {
-            16 + entries.iter().map(|(_, s)| 12 + solutions_hint(s)).sum::<usize>()
-        }
-        LiveMsg::SubmitMulti { patterns, .. } => 16 + patterns.len() * BASE_HINT,
-        LiveMsg::MultiProviders { providers, .. } => BASE_HINT + providers.len() * 8,
-        LiveMsg::ShuffleExec { patterns, peers, .. } => {
-            16 + patterns.len() * BASE_HINT + peers.len() * 8
-        }
-        LiveMsg::PartialExec { patterns, .. } => 16 + patterns.len() * BASE_HINT,
-        LiveMsg::ShufflePart { parts: sets, .. } | LiveMsg::PartialMatches { per_pattern: sets, .. } => {
-            16 + sets.iter().map(|s| 8 + solutions_hint(s)).sum::<usize>()
-        }
-        LiveMsg::Submit { .. }
-        | LiveMsg::Lookup { .. }
-        | LiveMsg::MultiLookup { .. }
-        | LiveMsg::SubQuery { .. }
-        | LiveMsg::ProviderDead { .. }
-        | LiveMsg::MultiDone { .. }
-        | LiveMsg::Deadline { .. } => BASE_HINT,
+        LiveMsg::Answer { entries } => entries.iter().map(|(_, sets)| 12 + sets_hint(sets)).sum(),
+        LiveMsg::ShufflePart { parts, .. } => sets_hint(parts),
+        LiveMsg::Providers { providers, .. } => providers.len() * 8,
+        LiveMsg::Publish { keys, .. } => keys.len() * 8,
+        _ => BASE_HINT,
     }
 }
 
 impl WireMsg for LiveMsg {
     fn encode_wire(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(size_hint(self));
+        let mut buf = Vec::with_capacity(size_hint(self));
+        let out = &mut buf;
         match self {
-            LiveMsg::Submit { qid, pattern } => {
+            LiveMsg::Submit { rounds } => {
                 out.push(TAG_SUBMIT);
-                put_u64(&mut out, qid.0);
-                put_pattern(&mut out, pattern);
+                put_vec(out, rounds, put_round);
             }
-            LiveMsg::SubmitSol { qid, pattern, filter, bound } => {
-                out.push(TAG_SUBMIT_SOL);
-                put_u64(&mut out, qid.0);
-                put_pattern(&mut out, pattern);
-                put_opt_expr(&mut out, filter);
-                put_opt_solutions(&mut out, bound);
-            }
-            LiveMsg::Lookup { qid, pattern, reply_to } => {
+            LiveMsg::Lookup { qid, slot, pattern, reply_to } => {
                 out.push(TAG_LOOKUP);
-                put_u64(&mut out, qid.0);
-                put_pattern(&mut out, pattern);
-                put_u64(&mut out, reply_to.0);
+                put_u64(out, qid.0);
+                put_u32(out, *slot);
+                put_pattern(out, pattern);
+                put_node(out, reply_to);
             }
-            LiveMsg::Providers { qid, pattern, providers } => {
+            LiveMsg::Providers { qid, slot, providers } => {
                 out.push(TAG_PROVIDERS);
-                put_u64(&mut out, qid.0);
-                put_pattern(&mut out, pattern);
-                put_node_ids(&mut out, providers);
+                put_u64(out, qid.0);
+                put_u32(out, *slot);
+                put_vec(out, providers, put_node);
             }
-            LiveMsg::SubQuery { qid, pattern, reply_to } => {
-                out.push(TAG_SUB_QUERY);
-                put_u64(&mut out, qid.0);
-                put_pattern(&mut out, pattern);
-                put_u64(&mut out, reply_to.0);
+            LiveMsg::Exec { rounds, reply_to } => {
+                out.push(TAG_EXEC);
+                put_vec(out, rounds, put_round);
+                put_node(out, reply_to);
             }
-            LiveMsg::Matches { qid, triples } => {
-                out.push(TAG_MATCHES);
-                put_u64(&mut out, qid.0);
-                put_triples(&mut out, triples);
+            LiveMsg::Answer { entries } => {
+                out.push(TAG_ANSWER);
+                put_vec(out, entries, |out, (qid, sets)| {
+                    put_u64(out, qid.0);
+                    put_sets(out, sets);
+                });
             }
-            LiveMsg::SubQuerySol { qid, pattern, filter, bound, reply_to } => {
-                out.push(TAG_SUB_QUERY_SOL);
-                put_u64(&mut out, qid.0);
-                put_pattern(&mut out, pattern);
-                put_opt_expr(&mut out, filter);
-                put_opt_solutions(&mut out, bound);
-                put_u64(&mut out, reply_to.0);
+            LiveMsg::ShufflePart { qid, generation, parts } => {
+                out.push(TAG_SHUFFLE_PART);
+                put_u64(out, qid.0);
+                put_u32(out, *generation);
+                put_sets(out, parts);
             }
-            LiveMsg::Solutions { qid, solutions } => {
-                out.push(TAG_SOLUTIONS);
-                put_u64(&mut out, qid.0);
-                put_solutions(&mut out, solutions);
+            LiveMsg::Done { qid } => {
+                out.push(TAG_DONE);
+                put_u64(out, qid.0);
             }
             LiveMsg::ProviderDead { pattern, provider } => {
                 out.push(TAG_PROVIDER_DEAD);
-                put_pattern(&mut out, pattern);
-                put_u64(&mut out, provider.0);
-            }
-            LiveMsg::Deadline { qid, stage } => {
-                out.push(TAG_DEADLINE);
-                put_u64(&mut out, qid.0);
-                put_stage(&mut out, stage);
+                put_pattern(out, pattern);
+                put_node(out, provider);
             }
             LiveMsg::Publish { keys, provider } => {
                 out.push(TAG_PUBLISH);
-                put_u32(&mut out, keys.len() as u32);
-                for key in keys {
-                    put_u64(&mut out, *key);
-                }
-                put_u64(&mut out, provider.0);
+                put_vec(out, keys, |out, key| put_u64(out, *key));
+                put_node(out, provider);
             }
-            LiveMsg::SubmitSolBatch { rounds } => {
-                out.push(TAG_SUBMIT_SOL_BATCH);
-                put_sol_rounds(&mut out, rounds);
-            }
-            LiveMsg::SubQuerySolBatch { rounds, reply_to } => {
-                out.push(TAG_SUB_QUERY_SOL_BATCH);
-                put_sol_rounds(&mut out, rounds);
-                put_u64(&mut out, reply_to.0);
-            }
-            LiveMsg::SolutionsBatch { entries } => {
-                out.push(TAG_SOLUTIONS_BATCH);
-                put_u32(&mut out, entries.len() as u32);
-                for (qid, solutions) in entries {
-                    put_u64(&mut out, qid.0);
-                    put_solutions(&mut out, solutions);
-                }
-            }
-            LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy } => {
-                out.push(TAG_SUBMIT_MULTI);
-                put_u64(&mut out, qid.0);
-                put_patterns(&mut out, patterns);
-                put_vars(&mut out, join_vars);
-                put_strategy(&mut out, *strategy);
-            }
-            LiveMsg::MultiLookup { qid, idx, pattern, reply_to } => {
-                out.push(TAG_MULTI_LOOKUP);
-                put_u64(&mut out, qid.0);
-                put_u32(&mut out, *idx);
-                put_pattern(&mut out, pattern);
-                put_u64(&mut out, reply_to.0);
-            }
-            LiveMsg::MultiProviders { qid, idx, providers } => {
-                out.push(TAG_MULTI_PROVIDERS);
-                put_u64(&mut out, qid.0);
-                put_u32(&mut out, *idx);
-                put_node_ids(&mut out, providers);
-            }
-            LiveMsg::ShuffleExec { qid, round, patterns, join_vars, peers, reply_to } => {
-                out.push(TAG_SHUFFLE_EXEC);
-                put_u64(&mut out, qid.0);
-                put_u32(&mut out, *round);
-                put_patterns(&mut out, patterns);
-                put_vars(&mut out, join_vars);
-                put_node_ids(&mut out, peers);
-                put_u64(&mut out, reply_to.0);
-            }
-            LiveMsg::ShufflePart { qid, round, parts } => {
-                out.push(TAG_SHUFFLE_PART);
-                put_u64(&mut out, qid.0);
-                put_u32(&mut out, *round);
-                put_solution_sets(&mut out, parts);
-            }
-            LiveMsg::PartialExec { qid, patterns, reply_to } => {
-                out.push(TAG_PARTIAL_EXEC);
-                put_u64(&mut out, qid.0);
-                put_patterns(&mut out, patterns);
-                put_u64(&mut out, reply_to.0);
-            }
-            LiveMsg::PartialMatches { qid, per_pattern } => {
-                out.push(TAG_PARTIAL_MATCHES);
-                put_u64(&mut out, qid.0);
-                put_solution_sets(&mut out, per_pattern);
-            }
-            LiveMsg::MultiDone { qid } => {
-                out.push(TAG_MULTI_DONE);
-                put_u64(&mut out, qid.0);
+            LiveMsg::Deadline { qid, stage } => {
+                out.push(TAG_DEADLINE);
+                put_u64(out, qid.0);
+                put_stage(out, stage);
             }
         }
-        out
+        buf
     }
 
     fn decode_wire(bytes: &[u8]) -> Result<Self, WireFault> {
-        let mut r = Reader::new(bytes);
-        let msg = match r.u8().map_err(fault)? {
-            TAG_SUBMIT => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let pattern = read_pattern(&mut r).map_err(fault)?;
-                LiveMsg::Submit { qid, pattern }
-            }
-            TAG_SUBMIT_SOL => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let pattern = read_pattern(&mut r).map_err(fault)?;
-                let filter = read_opt_expr(&mut r).map_err(fault)?;
-                let bound = read_opt_solutions(&mut r).map_err(fault)?;
-                LiveMsg::SubmitSol { qid, pattern, filter, bound }
-            }
-            TAG_LOOKUP => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let pattern = read_pattern(&mut r).map_err(fault)?;
-                let reply_to = NodeId(r.u64().map_err(fault)?);
-                LiveMsg::Lookup { qid, pattern, reply_to }
-            }
-            TAG_PROVIDERS => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let pattern = read_pattern(&mut r).map_err(fault)?;
-                let providers = read_node_ids(&mut r).map_err(fault)?;
-                LiveMsg::Providers { qid, pattern, providers }
-            }
-            TAG_SUB_QUERY => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let pattern = read_pattern(&mut r).map_err(fault)?;
-                let reply_to = NodeId(r.u64().map_err(fault)?);
-                LiveMsg::SubQuery { qid, pattern, reply_to }
-            }
-            TAG_MATCHES => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let triples = read_triples(&mut r).map_err(fault)?;
-                LiveMsg::Matches { qid, triples }
-            }
-            TAG_SUB_QUERY_SOL => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let pattern = read_pattern(&mut r).map_err(fault)?;
-                let filter = read_opt_expr(&mut r).map_err(fault)?;
-                let bound = read_opt_solutions(&mut r).map_err(fault)?;
-                let reply_to = NodeId(r.u64().map_err(fault)?);
-                LiveMsg::SubQuerySol { qid, pattern, filter, bound, reply_to }
-            }
-            TAG_SOLUTIONS => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let solutions = read_solutions(&mut r).map_err(fault)?;
-                LiveMsg::Solutions { qid, solutions }
-            }
-            TAG_PROVIDER_DEAD => {
-                let pattern = read_pattern(&mut r).map_err(fault)?;
-                let provider = NodeId(r.u64().map_err(fault)?);
-                LiveMsg::ProviderDead { pattern, provider }
-            }
-            TAG_DEADLINE => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let stage = read_stage(&mut r).map_err(fault)?;
-                LiveMsg::Deadline { qid, stage }
-            }
-            TAG_PUBLISH => {
-                let count = r.u32().map_err(fault)? as usize;
-                let mut keys = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    keys.push(r.u64().map_err(fault)?);
-                }
-                let provider = NodeId(r.u64().map_err(fault)?);
-                LiveMsg::Publish { keys, provider }
-            }
-            TAG_SUBMIT_SOL_BATCH => {
-                let rounds = read_sol_rounds(&mut r).map_err(fault)?;
-                LiveMsg::SubmitSolBatch { rounds }
-            }
-            TAG_SUB_QUERY_SOL_BATCH => {
-                let rounds = read_sol_rounds(&mut r).map_err(fault)?;
-                let reply_to = NodeId(r.u64().map_err(fault)?);
-                LiveMsg::SubQuerySolBatch { rounds, reply_to }
-            }
-            TAG_SOLUTIONS_BATCH => {
-                let count = r.u32().map_err(fault)? as usize;
-                let mut entries = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    let qid = QueryId(r.u64().map_err(fault)?);
-                    let solutions = read_solutions(&mut r).map_err(fault)?;
-                    entries.push((qid, solutions));
-                }
-                LiveMsg::SolutionsBatch { entries }
-            }
-            TAG_SUBMIT_MULTI => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let patterns = read_patterns(&mut r).map_err(fault)?;
-                let join_vars = read_vars(&mut r).map_err(fault)?;
-                let strategy = read_strategy(&mut r).map_err(fault)?;
-                LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy }
-            }
-            TAG_MULTI_LOOKUP => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let idx = r.u32().map_err(fault)?;
-                let pattern = read_pattern(&mut r).map_err(fault)?;
-                let reply_to = NodeId(r.u64().map_err(fault)?);
-                LiveMsg::MultiLookup { qid, idx, pattern, reply_to }
-            }
-            TAG_MULTI_PROVIDERS => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let idx = r.u32().map_err(fault)?;
-                let providers = read_node_ids(&mut r).map_err(fault)?;
-                LiveMsg::MultiProviders { qid, idx, providers }
-            }
-            TAG_SHUFFLE_EXEC => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let round = r.u32().map_err(fault)?;
-                let patterns = read_patterns(&mut r).map_err(fault)?;
-                let join_vars = read_vars(&mut r).map_err(fault)?;
-                let peers = read_node_ids(&mut r).map_err(fault)?;
-                let reply_to = NodeId(r.u64().map_err(fault)?);
-                LiveMsg::ShuffleExec { qid, round, patterns, join_vars, peers, reply_to }
-            }
-            TAG_SHUFFLE_PART => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let round = r.u32().map_err(fault)?;
-                let parts = read_solution_sets(&mut r).map_err(fault)?;
-                LiveMsg::ShufflePart { qid, round, parts }
-            }
-            TAG_PARTIAL_EXEC => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let patterns = read_patterns(&mut r).map_err(fault)?;
-                let reply_to = NodeId(r.u64().map_err(fault)?);
-                LiveMsg::PartialExec { qid, patterns, reply_to }
-            }
-            TAG_PARTIAL_MATCHES => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let per_pattern = read_solution_sets(&mut r).map_err(fault)?;
-                LiveMsg::PartialMatches { qid, per_pattern }
-            }
-            TAG_MULTI_DONE => LiveMsg::MultiDone { qid: QueryId(r.u64().map_err(fault)?) },
-            _ => return Err(WireFault("unknown live-message tag")),
-        };
-        r.finish().map_err(fault)?;
-        Ok(msg)
+        decode(bytes).map_err(|e| WireFault(e.0))
     }
+}
+
+fn decode(bytes: &[u8]) -> Read<LiveMsg> {
+    let mut reader = Reader::new(bytes);
+    let r = &mut reader;
+    let msg = match r.u8()? {
+        TAG_SUBMIT => LiveMsg::Submit { rounds: read_vec(r, read_round)? },
+        TAG_LOOKUP => LiveMsg::Lookup {
+            qid: QueryId(r.u64()?),
+            slot: r.u32()?,
+            pattern: read_pattern(r)?,
+            reply_to: read_node(r)?,
+        },
+        TAG_PROVIDERS => LiveMsg::Providers {
+            qid: QueryId(r.u64()?),
+            slot: r.u32()?,
+            providers: read_vec(r, read_node)?,
+        },
+        TAG_EXEC => LiveMsg::Exec { rounds: read_vec(r, read_round)?, reply_to: read_node(r)? },
+        TAG_ANSWER => {
+            LiveMsg::Answer { entries: read_vec(r, |r| Ok((QueryId(r.u64()?), read_sets(r)?)))? }
+        }
+        TAG_SHUFFLE_PART => LiveMsg::ShufflePart {
+            qid: QueryId(r.u64()?),
+            generation: r.u32()?,
+            parts: read_sets(r)?,
+        },
+        TAG_DONE => LiveMsg::Done { qid: QueryId(r.u64()?) },
+        TAG_PROVIDER_DEAD => {
+            LiveMsg::ProviderDead { pattern: read_pattern(r)?, provider: read_node(r)? }
+        }
+        TAG_PUBLISH => {
+            LiveMsg::Publish { keys: read_vec(r, |r| r.u64())?, provider: read_node(r)? }
+        }
+        TAG_DEADLINE => LiveMsg::Deadline { qid: QueryId(r.u64()?), stage: read_stage(r)? },
+        _ => return Err(WireError("unknown live-message tag")),
+    };
+    reader.finish()?;
+    Ok(msg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rdfmesh_rdf::{Literal, Term};
-    use rdfmesh_sparql::expr::ComparisonOp;
+    use rdfmesh_sparql::expr::{ComparisonOp, Expression};
 
     fn pattern() -> TriplePattern {
         TriplePattern::new(
@@ -680,89 +363,95 @@ mod tests {
         )
     }
 
-    fn round_trip(msg: &LiveMsg) -> LiveMsg {
-        LiveMsg::decode_wire(&msg.encode_wire()).expect("round trip decodes")
+    fn chained(qid: u64) -> Round {
+        Round::chained(
+            QueryId(qid),
+            pattern(),
+            Some(filter()),
+            Some(vec![solution(), Solution::new()]),
+        )
+    }
+
+    fn hypercube(qid: u64) -> Round {
+        Round {
+            qid: QueryId(qid),
+            patterns: vec![pattern(), pattern()],
+            filter: None,
+            bound: None,
+            strategy: RoundStrategy::HyperCube {
+                join_vars: vec![Variable::new("x"), Variable::new("age")],
+                generation: 2,
+                peers: vec![NodeId(1), NodeId(2), NodeId(3)],
+            },
+        }
+    }
+
+    fn partial_eval(qid: u64) -> Round {
+        let patterns = vec![pattern(), pattern(), pattern()];
+        Round::multiway(
+            QueryId(qid),
+            patterns,
+            Vec::new(),
+            crate::config::DistStrategy::PartialEval,
+        )
+    }
+
+    /// At least one instance of every wire-v4 variant, sub-tag and
+    /// option flag, fields populated.
+    fn every_msg() -> Vec<LiveMsg> {
+        vec![
+            LiveMsg::Submit { rounds: Vec::new() },
+            LiveMsg::Submit { rounds: vec![chained(1)] },
+            LiveMsg::Submit {
+                rounds: vec![Round::chained(QueryId(2), pattern(), None, None), partial_eval(3)],
+            },
+            LiveMsg::Lookup {
+                qid: QueryId(4),
+                slot: 1,
+                pattern: pattern(),
+                reply_to: NodeId(u64::MAX),
+            },
+            LiveMsg::Providers { qid: QueryId(5), slot: 2, providers: vec![NodeId(1), NodeId(2)] },
+            LiveMsg::Providers { qid: QueryId(6), slot: 0, providers: Vec::new() },
+            LiveMsg::Exec {
+                rounds: vec![chained(7), hypercube(8), partial_eval(9)],
+                reply_to: NodeId(4),
+            },
+            LiveMsg::Answer {
+                entries: vec![
+                    (QueryId(10), vec![vec![solution()]]),
+                    (QueryId(11), vec![Vec::new()]),
+                    (QueryId(12), vec![vec![solution(), Solution::new()], Vec::new()]),
+                ],
+            },
+            LiveMsg::ShufflePart {
+                qid: QueryId(13),
+                generation: 1,
+                parts: vec![vec![solution()], Vec::new(), vec![solution(), Solution::new()]],
+            },
+            LiveMsg::Done { qid: QueryId(14) },
+            LiveMsg::ProviderDead { pattern: pattern(), provider: NodeId(5) },
+            LiveMsg::Publish { keys: vec![3, 99, u64::MAX], provider: NodeId(7) },
+            LiveMsg::Deadline {
+                qid: QueryId(15),
+                stage: DeadlineStage::Lookup { slot: 7, attempt: 1 },
+            },
+            LiveMsg::Deadline {
+                qid: QueryId(16),
+                stage: DeadlineStage::Ack { provider: NodeId(6), attempt: 2 },
+            },
+            LiveMsg::Deadline { qid: QueryId(17), stage: DeadlineStage::Overall },
+        ]
     }
 
     #[test]
     fn every_variant_round_trips() {
-        let msgs = vec![
-            LiveMsg::Submit { qid: QueryId(7), pattern: pattern() },
-            LiveMsg::SubmitSol {
-                qid: QueryId(8),
-                pattern: pattern(),
-                filter: Some(filter()),
-                bound: Some(vec![solution()]),
-            },
-            LiveMsg::SubmitSol { qid: QueryId(9), pattern: pattern(), filter: None, bound: None },
-            LiveMsg::Lookup { qid: QueryId(10), pattern: pattern(), reply_to: NodeId(u64::MAX) },
-            LiveMsg::Providers {
-                qid: QueryId(11),
-                pattern: pattern(),
-                providers: vec![NodeId(1), NodeId(2)],
-            },
-            LiveMsg::SubQuery { qid: QueryId(12), pattern: pattern(), reply_to: NodeId(3) },
-            LiveMsg::Matches {
-                qid: QueryId(13),
-                triples: vec![Triple::new(
-                    Term::iri("http://example.org/a"),
-                    Term::iri("http://example.org/p"),
-                    Term::literal("plain"),
-                )],
-            },
-            LiveMsg::SubQuerySol {
-                qid: QueryId(14),
-                pattern: pattern(),
-                filter: Some(filter()),
-                bound: Some(vec![solution(), Solution::new()]),
-                reply_to: NodeId(4),
-            },
-            LiveMsg::Solutions { qid: QueryId(15), solutions: vec![solution()] },
-            LiveMsg::ProviderDead { pattern: pattern(), provider: NodeId(5) },
-            LiveMsg::Deadline { qid: QueryId(16), stage: DeadlineStage::Lookup { attempt: 1 } },
-            LiveMsg::Deadline {
-                qid: QueryId(17),
-                stage: DeadlineStage::Ack { provider: NodeId(6), attempt: 2 },
-            },
-            LiveMsg::Deadline { qid: QueryId(18), stage: DeadlineStage::Overall },
-            LiveMsg::Publish { keys: vec![3, 99, u64::MAX], provider: NodeId(7) },
-            LiveMsg::SubmitSolBatch { rounds: Vec::new() },
-            LiveMsg::SubmitSolBatch {
-                rounds: vec![
-                    SolRound {
-                        qid: QueryId(19),
-                        pattern: pattern(),
-                        filter: Some(filter()),
-                        bound: Some(vec![solution()]),
-                    },
-                    SolRound { qid: QueryId(20), pattern: pattern(), filter: None, bound: None },
-                ],
-            },
-            LiveMsg::SubQuerySolBatch {
-                rounds: vec![
-                    SolRound { qid: QueryId(21), pattern: pattern(), filter: None, bound: None },
-                    SolRound {
-                        qid: QueryId(22),
-                        pattern: pattern(),
-                        filter: Some(filter()),
-                        bound: Some(vec![solution(), Solution::new()]),
-                    },
-                ],
-                reply_to: NodeId(u64::MAX),
-            },
-            LiveMsg::SolutionsBatch {
-                entries: vec![
-                    (QueryId(23), vec![solution()]),
-                    (QueryId(24), Vec::new()),
-                    (QueryId(25), vec![solution(), Solution::new()]),
-                ],
-            },
-        ];
-        for msg in msgs {
-            let back = round_trip(&msg);
-            // LiveMsg carries Expression which is not PartialEq across the
+        for msg in every_msg() {
+            let bytes = msg.encode_wire();
+            let back = LiveMsg::decode_wire(&bytes).expect("round trip decodes");
+            // LiveMsg carries Expression, which is not PartialEq across the
             // board; compare via the canonical wire bytes instead.
-            assert_eq!(back.encode_wire(), msg.encode_wire(), "round trip preserves {msg:?}");
+            assert_eq!(back.encode_wire(), bytes, "round trip preserves {msg:?}");
         }
     }
 
@@ -772,74 +461,9 @@ mod tests {
         assert!(LiveMsg::decode_wire(&[]).is_err());
     }
 
-    /// One instance of every wire-v3 multiway frame, fields populated.
-    fn multiway_msgs() -> Vec<LiveMsg> {
-        vec![
-            LiveMsg::SubmitMulti {
-                qid: QueryId(30),
-                patterns: vec![pattern(), pattern()],
-                join_vars: vec![Variable::new("x")],
-                strategy: DistStrategy::HyperCube,
-            },
-            LiveMsg::SubmitMulti {
-                qid: QueryId(31),
-                patterns: vec![pattern(), pattern(), pattern()],
-                join_vars: Vec::new(),
-                strategy: DistStrategy::PartialEval,
-            },
-            LiveMsg::MultiLookup {
-                qid: QueryId(32),
-                idx: 1,
-                pattern: pattern(),
-                reply_to: NodeId(u64::MAX),
-            },
-            LiveMsg::MultiProviders {
-                qid: QueryId(33),
-                idx: 2,
-                providers: vec![NodeId(1), NodeId(2)],
-            },
-            LiveMsg::MultiProviders { qid: QueryId(34), idx: 0, providers: Vec::new() },
-            LiveMsg::ShuffleExec {
-                qid: QueryId(35),
-                round: 2,
-                patterns: vec![pattern(), pattern()],
-                join_vars: vec![Variable::new("x"), Variable::new("age")],
-                peers: vec![NodeId(1), NodeId(2), NodeId(3)],
-                reply_to: NodeId(u64::MAX),
-            },
-            LiveMsg::ShufflePart {
-                qid: QueryId(36),
-                round: 1,
-                parts: vec![vec![solution()], Vec::new(), vec![solution(), Solution::new()]],
-            },
-            LiveMsg::PartialExec {
-                qid: QueryId(37),
-                patterns: vec![pattern(), pattern(), pattern()],
-                reply_to: NodeId(4),
-            },
-            LiveMsg::PartialMatches {
-                qid: QueryId(38),
-                per_pattern: vec![vec![solution(), solution()], vec![Solution::new()]],
-            },
-            LiveMsg::MultiDone { qid: QueryId(39) },
-            LiveMsg::Deadline {
-                qid: QueryId(40),
-                stage: DeadlineStage::MultiLookup { idx: 7, attempt: 1 },
-            },
-        ]
-    }
-
     #[test]
-    fn every_multiway_variant_round_trips() {
-        for msg in multiway_msgs() {
-            let back = round_trip(&msg);
-            assert_eq!(back.encode_wire(), msg.encode_wire(), "round trip preserves {msg:?}");
-        }
-    }
-
-    #[test]
-    fn multiway_frames_reject_truncated_and_overlong_bodies() {
-        for msg in multiway_msgs() {
+    fn truncated_and_overlong_frames_are_rejected_for_every_variant() {
+        for msg in every_msg() {
             let bytes = msg.encode_wire();
             // Every truncated prefix must fail, never half-parse.
             for len in 0..bytes.len() {
@@ -852,34 +476,17 @@ mod tests {
             // An over-long body (trailing garbage) must fail `finish()`.
             let mut long = bytes.clone();
             long.push(0);
-            assert!(
-                LiveMsg::decode_wire(&long).is_err(),
-                "trailing byte must not decode {msg:?}"
-            );
+            assert!(LiveMsg::decode_wire(&long).is_err(), "trailing byte must not decode {msg:?}");
         }
     }
 
+    /// Deterministic single-byte fuzz: every corruption of every frame
+    /// either fails cleanly or decodes to *some* valid frame — the
+    /// decoder must never panic, over-read, or loop on adversarial input
+    /// (lengths and tags are the dangerous bytes).
     #[test]
-    fn corrupted_strategy_tag_is_rejected() {
-        let mut bytes = LiveMsg::SubmitMulti {
-            qid: QueryId(41),
-            patterns: vec![pattern()],
-            join_vars: Vec::new(),
-            strategy: DistStrategy::HyperCube,
-        }
-        .encode_wire();
-        let tag = bytes.len() - 1;
-        bytes[tag] = 9;
-        assert!(LiveMsg::decode_wire(&bytes).is_err(), "invalid strategy tag must fail");
-    }
-
-    /// Deterministic single-byte fuzz: every corruption of every
-    /// multiway frame either fails cleanly or decodes to *some* valid
-    /// frame — the decoder must never panic, over-read, or loop on
-    /// adversarial input (lengths and tags are the dangerous bytes).
-    #[test]
-    fn mutated_multiway_frames_never_panic() {
-        for msg in multiway_msgs() {
+    fn mutated_frames_never_panic() {
+        for msg in every_msg() {
             let bytes = msg.encode_wire();
             for i in 0..bytes.len() {
                 for delta in [1u8, 0x7f, 0xff] {
@@ -892,56 +499,22 @@ mod tests {
     }
 
     #[test]
-    fn truncated_frames_are_rejected_at_every_length() {
-        let bytes = LiveMsg::SubmitSol {
-            qid: QueryId(8),
-            pattern: pattern(),
-            filter: Some(filter()),
-            bound: Some(vec![solution()]),
-        }
-        .encode_wire();
-        for len in 0..bytes.len() {
-            assert!(
-                LiveMsg::decode_wire(&bytes[..len]).is_err(),
-                "truncation at {len}/{} must not decode",
-                bytes.len()
-            );
-        }
+    fn corrupted_strategy_tag_is_rejected() {
+        let round = Round::chained(QueryId(41), pattern(), None, None);
+        let mut bytes = LiveMsg::Submit { rounds: vec![round] }.encode_wire();
+        let tag = bytes.len() - 1;
+        bytes[tag] = 9;
+        assert!(LiveMsg::decode_wire(&bytes).is_err(), "invalid strategy tag must fail");
     }
 
     #[test]
-    fn truncated_batched_frames_are_rejected_at_every_length() {
-        let bytes = LiveMsg::SubQuerySolBatch {
-            rounds: vec![
-                SolRound {
-                    qid: QueryId(1),
-                    pattern: pattern(),
-                    filter: Some(filter()),
-                    bound: Some(vec![solution()]),
-                },
-                SolRound { qid: QueryId(2), pattern: pattern(), filter: None, bound: None },
-            ],
-            reply_to: NodeId(9),
-        }
-        .encode_wire();
-        for len in 0..bytes.len() {
-            assert!(
-                LiveMsg::decode_wire(&bytes[..len]).is_err(),
-                "truncation at {len}/{} must not decode",
-                bytes.len()
-            );
-        }
-        let bytes = LiveMsg::SolutionsBatch {
-            entries: vec![(QueryId(3), vec![solution()]), (QueryId(4), Vec::new())],
-        }
-        .encode_wire();
-        for len in 0..bytes.len() {
-            assert!(
-                LiveMsg::decode_wire(&bytes[..len]).is_err(),
-                "truncation at {len}/{} must not decode",
-                bytes.len()
-            );
-        }
+    fn corrupted_option_flag_is_rejected() {
+        let round = Round::chained(QueryId(2), pattern(), None, None);
+        let mut bytes = LiveMsg::Submit { rounds: vec![round] }.encode_wire();
+        // The bound flag sits just before the strategy tag.
+        let flag = bytes.len() - 2;
+        bytes[flag] = 9;
+        assert!(LiveMsg::decode_wire(&bytes).is_err(), "invalid option flag must fail");
     }
 
     #[test]
@@ -949,45 +522,13 @@ mod tests {
         // The size hint is an allocation optimization, not a format
         // promise — but a hint below a quarter of the real size would
         // mean the pre-sizing buys nothing, so pin it loosely.
-        let msg = LiveMsg::SubQuerySolBatch {
-            rounds: (0..20)
-                .map(|n| SolRound {
-                    qid: QueryId(n),
-                    pattern: pattern(),
-                    filter: Some(filter()),
-                    bound: Some(vec![solution(), solution()]),
-                })
-                .collect(),
-            reply_to: NodeId(1),
-        };
+        let msg = LiveMsg::Exec { rounds: (0..20).map(chained).collect(), reply_to: NodeId(1) };
         let encoded = msg.encode_wire();
         assert!(
-            super::size_hint(&msg) * 4 >= encoded.len(),
+            size_hint(&msg) * 4 >= encoded.len(),
             "hint {} too far below encoded size {}",
-            super::size_hint(&msg),
+            size_hint(&msg),
             encoded.len()
         );
-    }
-
-    #[test]
-    fn trailing_garbage_is_rejected() {
-        let mut bytes =
-            LiveMsg::Deadline { qid: QueryId(1), stage: DeadlineStage::Overall }.encode_wire();
-        bytes.push(0);
-        assert!(LiveMsg::decode_wire(&bytes).is_err(), "trailing bytes must fail the decode");
-    }
-
-    #[test]
-    fn corrupted_option_flag_is_rejected() {
-        let mut bytes = LiveMsg::SubmitSol {
-            qid: QueryId(2),
-            pattern: pattern(),
-            filter: None,
-            bound: None,
-        }
-        .encode_wire();
-        let flag = bytes.len() - 2;
-        bytes[flag] = 9;
-        assert!(LiveMsg::decode_wire(&bytes).is_err(), "invalid option flag must fail");
     }
 }

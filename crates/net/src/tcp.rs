@@ -46,11 +46,11 @@ use crate::network::NodeId;
 /// Connection-handshake magic: the first four bytes on every connection.
 pub const WIRE_MAGIC: [u8; 4] = *b"RDFM";
 /// Wire-format version, negotiated (exact-match) by the handshake.
-/// Version 2 added the batched solution frames (`SubmitSolBatch` /
-/// `SubQuerySolBatch` / `SolutionsBatch` payload tags): a v1 peer would
-/// reject the new tags mid-stream, so the handshake refuses the mix
+/// Version 4 carries the single-round-type live protocol (one `Exec` /
+/// `Answer` pair for every strategy): an older peer would misread the
+/// renumbered payload tags mid-stream, so the handshake refuses the mix
 /// up front.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 4;
 /// Upper bound on a single frame's length field; larger values mean a
 /// corrupt or hostile stream and close the connection.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
@@ -645,9 +645,11 @@ mod tests {
         // Wrong magic.
         let mut r = io::Cursor::new(b"RDFX\x01\x00".to_vec());
         assert!(read_handshake(&mut r).is_err());
-        // Wrong version.
-        let mut r = io::Cursor::new(b"RDFM\x63\x00".to_vec());
-        assert!(read_handshake(&mut r).is_err());
+        // Wrong version, including every earlier protocol revision.
+        for version in [2u8, 3, 0x63] {
+            let mut r = io::Cursor::new(vec![b'R', b'D', b'F', b'M', version, 0]);
+            assert!(read_handshake(&mut r).is_err(), "version {version} must be refused");
+        }
         // Zero-length frame.
         let mut r = io::Cursor::new(0u32.to_le_bytes().to_vec());
         assert!(read_frame(&mut r).is_err());

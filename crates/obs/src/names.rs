@@ -163,8 +163,9 @@ pub const LIVE_QUEUED: &str = "live.queued";
 /// Query executions rejected under overload (queue full, or the queue
 /// wait outlived the query deadline) — surfaced as HTTP 503.
 pub const LIVE_REJECTED: &str = "live.rejected";
-/// Multi-round messages shipped (`SubmitSolBatch` / `SubQuerySolBatch` /
-/// `SolutionsBatch` frames carrying more than one query's round).
+/// Multi-round messages shipped (`Submit` / `Exec` frames carrying more
+/// than one query's round; storage nodes count the `Exec` frames they
+/// receive).
 pub const LIVE_BATCHES: &str = "live.batches";
 /// Per-query rounds that travelled inside a batched frame instead of
 /// their own message.
