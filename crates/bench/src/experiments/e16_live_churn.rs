@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use rdfmesh_core::{FaultPlan, LiveConfig, LiveMesh, COORDINATOR};
+use rdfmesh_core::{Counter, FaultPlan, LiveConfig, LiveMesh, COORDINATOR};
 use rdfmesh_net::NodeId;
 use rdfmesh_overlay::Overlay;
 use rdfmesh_rdf::{Term, TermPattern, TriplePattern};
@@ -102,13 +102,13 @@ pub fn run() {
         assert_eq!(sorted(answer.solutions), oracle(&overlay, pattern, &[]));
     }
     let warm = mesh.stats();
-    assert_eq!(warm.retries, 1, "exactly the planned drop is retried");
-    assert_eq!(warm.incomplete_queries, 0);
+    assert_eq!(warm[Counter::Retries], 1, "exactly the planned drop is retried");
+    assert_eq!(warm[Counter::IncompleteQueries], 0);
     rows.push(vec![
         "warm (lossy link)".into(),
         workload.len().to_string(),
         "0".into(),
-        warm.retries.to_string(),
+        warm[Counter::Retries].to_string(),
         "0".into(),
     ]);
 
@@ -140,8 +140,8 @@ pub fn run() {
         "churn (2 crashed)".into(),
         workload.len().to_string(),
         incomplete.to_string(),
-        (churn.retries - warm.retries).to_string(),
-        churn.ack_timeouts.to_string(),
+        (churn[Counter::Retries] - warm[Counter::Retries]).to_string(),
+        churn[Counter::AckTimeouts].to_string(),
     ]);
 
     // Phase 3 — recovery: the failed queries purged the dead providers
@@ -162,14 +162,14 @@ pub fn run() {
         assert_eq!(sorted(answer.solutions), oracle(&overlay, pattern, &crashed));
     }
     let done = mesh.stats();
-    assert!(done.providers_purged >= 1);
-    assert_eq!(done.incomplete_queries, incomplete as u64);
+    assert!(done[Counter::ProvidersPurged] >= 1);
+    assert_eq!(done[Counter::IncompleteQueries], incomplete as u64);
     rows.push(vec![
         "recovery (purged)".into(),
         workload.len().to_string(),
         "0".into(),
-        (done.retries - churn.retries).to_string(),
-        (done.ack_timeouts - churn.ack_timeouts).to_string(),
+        (done[Counter::Retries] - churn[Counter::Retries]).to_string(),
+        (done[Counter::AckTimeouts] - churn[Counter::AckTimeouts]).to_string(),
     ]);
 
     print_table(
@@ -180,13 +180,13 @@ pub fn run() {
     println!(
         "\ntotals: retries={} ack_timeouts={} send_failures={} stale_replies={} \
          providers_purged={} incomplete={} lookup_failures={} (messages={}, dropped={})",
-        done.retries,
-        done.ack_timeouts,
-        done.send_failures,
-        done.stale_replies,
-        done.providers_purged,
-        done.incomplete_queries,
-        done.lookup_failures,
+        done[Counter::Retries],
+        done[Counter::AckTimeouts],
+        done[Counter::SendFailures],
+        done[Counter::StaleReplies],
+        done[Counter::ProvidersPurged],
+        done[Counter::IncompleteQueries],
+        done[Counter::LookupFailures],
         mesh.message_count(),
         mesh.dropped_count(),
     );

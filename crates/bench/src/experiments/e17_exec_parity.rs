@@ -14,7 +14,7 @@
 
 use std::time::{Duration, Instant};
 
-use rdfmesh_core::{ExecConfig, LiveMesh};
+use rdfmesh_core::{Counter, ExecConfig, LiveMesh};
 use rdfmesh_sparql::{QueryResult, Solution};
 use rdfmesh_workload::{foaf, FoafConfig};
 
@@ -70,8 +70,8 @@ pub fn run() {
             sim.stats.messages.to_string(),
             sim.stats.index_hops.to_string(),
             live.rounds.to_string(),
-            (after.solutions_shipped - before.solutions_shipped).to_string(),
-            (after.solution_bytes - before.solution_bytes).to_string(),
+            (after[Counter::SolutionsShipped] - before[Counter::SolutionsShipped]).to_string(),
+            (after[Counter::SolutionBytes] - before[Counter::SolutionBytes]).to_string(),
             format!("{:.1}", elapsed.as_secs_f64() * 1e3),
         ]);
     }
@@ -97,10 +97,10 @@ pub fn run() {
     );
     println!(
         "\ntotals: solution_rounds={} solutions_shipped={} solution_bytes={} incomplete={}",
-        totals.solution_rounds,
-        totals.solutions_shipped,
-        totals.solution_bytes,
-        totals.incomplete_queries,
+        totals[Counter::SolutionRounds],
+        totals[Counter::SolutionsShipped],
+        totals[Counter::SolutionBytes],
+        totals[Counter::IncompleteQueries],
     );
     println!("\nShape check: every query returns the same solution set on both");
     println!("backends — the compiled plan, not the backend, determines the");

@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use rdfmesh_core::{ExecConfig, FaultPlan, LiveConfig, LiveMesh, Transport};
+use rdfmesh_core::{Counter, ExecConfig, FaultPlan, LiveConfig, LiveMesh, Transport};
 use rdfmesh_sparql::{QueryResult, Solution};
 use rdfmesh_workload::{foaf, FoafConfig};
 
@@ -55,7 +55,7 @@ pub fn run() {
     let mut rows = Vec::new();
     for (label, query) in QUERIES {
         let sim = testbed.run_full(cfg, query);
-        let wire_before = sockets.transport_stats().expect("socket transport");
+        let wire_before = sockets.stats();
 
         let started = Instant::now();
         let on_threads =
@@ -66,7 +66,7 @@ pub fn run() {
         let on_sockets =
             sockets.execute(query, cfg.bind_join, Duration::from_secs(30)).expect("sockets run");
         let sockets_ms = started.elapsed().as_secs_f64() * 1e3;
-        let wire = sockets.transport_stats().expect("socket transport");
+        let wire = sockets.stats();
 
         assert!(on_threads.complete && on_sockets.complete, "fault-free run: {label}");
         let sim_sols = solutions(&sim.result);
@@ -77,16 +77,16 @@ pub fn run() {
             sim_sols.len().to_string(),
             "yes".to_string(),
             on_sockets.rounds.to_string(),
-            (wire.frames_sent - wire_before.frames_sent).to_string(),
-            (wire.bytes_sent - wire_before.bytes_sent).to_string(),
+            (wire[Counter::FramesSent] - wire_before[Counter::FramesSent]).to_string(),
+            (wire[Counter::BytesSent] - wire_before[Counter::BytesSent]).to_string(),
             format!("{threads_ms:.1}"),
             format!("{sockets_ms:.1}"),
         ]);
     }
-    let wire = sockets.transport_stats().expect("socket transport");
+    let wire = sockets.stats();
     threads.shutdown();
     sockets.shutdown();
-    assert_eq!(wire.decode_errors, 0, "loopback parity run must decode every frame");
+    assert_eq!(wire[Counter::DecodeErrors], 0, "loopback parity run must decode every frame");
 
     print_table(
         "Socket-transport parity: identical answers over channels and framed TCP \
@@ -106,12 +106,12 @@ pub fn run() {
     println!(
         "\nwire totals: frames_sent={} frames_received={} bytes_sent={} \
          connects={} reconnects={} decode_errors={}",
-        wire.frames_sent,
-        wire.frames_received,
-        wire.bytes_sent,
-        wire.connects,
-        wire.reconnects,
-        wire.decode_errors,
+        wire[Counter::FramesSent],
+        wire[Counter::FramesReceived],
+        wire[Counter::BytesSent],
+        wire[Counter::Connects],
+        wire[Counter::Reconnects],
+        wire[Counter::DecodeErrors],
     );
     println!("\nShape check: the transport is invisible to the answer — simulator,");
     println!("channel mesh, and socket mesh agree on every solution set. The");

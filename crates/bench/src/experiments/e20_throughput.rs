@@ -27,7 +27,7 @@ use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use rdfmesh_core::{
-    ExecConfig, FaultPlan, LiveConfig, LiveError, LiveMesh, Transport, COORDINATOR,
+    Counter, ExecConfig, FaultPlan, LiveConfig, LiveError, LiveMesh, Transport, COORDINATOR,
 };
 use rdfmesh_net::NodeId;
 use rdfmesh_workload::university::{self, UniversityConfig};
@@ -251,7 +251,7 @@ pub fn run() {
             ]);
         }
         let stats = mesh.stats();
-        assert_eq!(stats.rejected, 0, "the default window admits the whole ladder");
+        assert_eq!(stats[Counter::Rejected], 0, "the default window admits the whole ladder");
         mesh.shutdown();
     }
 
@@ -271,7 +271,7 @@ pub fn run() {
             .expect("transport binds");
     let (admitted, rejected) = overload_phase(&mesh, tiny.query_deadline);
     let stats = mesh.stats();
-    assert_eq!(stats.rejected, rejected as u64, "every rejection is counted");
+    assert_eq!(stats[Counter::Rejected], rejected as u64, "every rejection is counted");
     assert!(rejected > 0, "overload must trip the admission limit");
     assert!(admitted >= tiny.max_inflight, "the window itself stays fully used");
     assert_eq!(admitted + rejected, OVERLOAD_OFFERED);

@@ -15,7 +15,7 @@
 
 use std::time::{Duration, Instant};
 
-use rdfmesh_core::{DistChoice, ExecConfig, LiveMesh};
+use rdfmesh_core::{Counter, DistChoice, ExecConfig, LiveMesh};
 use rdfmesh_sparql::{QueryResult, Solution};
 use rdfmesh_workload::{foaf, FoafConfig};
 
@@ -98,18 +98,18 @@ pub fn run() {
                     assert_eq!(b, &live_sols, "strategies must agree: {qlabel}/{slabel}");
                 }
             }
-            let coord_bytes = after.solution_bytes - before.solution_bytes;
+            let coord_bytes = after[Counter::SolutionBytes] - before[Counter::SolutionBytes];
             measured.push((slabel, Run { rounds: live.rounds, coord_bytes }));
             rows.push(vec![
                 (*qlabel).to_string(),
                 (*slabel).to_string(),
                 live_sols.len().to_string(),
                 live.rounds.to_string(),
-                (after.solutions_shipped - before.solutions_shipped).to_string(),
+                (after[Counter::SolutionsShipped] - before[Counter::SolutionsShipped]).to_string(),
                 coord_bytes.to_string(),
-                (after.shuffle_parts - before.shuffle_parts).to_string(),
-                (after.shuffle_bytes - before.shuffle_bytes).to_string(),
-                (after.stitched_rows - before.stitched_rows).to_string(),
+                (after[Counter::ShuffleParts] - before[Counter::ShuffleParts]).to_string(),
+                (after[Counter::ShuffleBytes] - before[Counter::ShuffleBytes]).to_string(),
+                (after[Counter::StitchedRows] - before[Counter::StitchedRows]).to_string(),
                 sim.stats.total_bytes.to_string(),
                 sim.stats.messages.to_string(),
                 format!("{:.1}", elapsed.as_secs_f64() * 1e3),
@@ -155,7 +155,7 @@ pub fn run() {
     );
     println!(
         "\ntotals: shuffle_parts={} shuffle_bytes={} stitched_rows={} incomplete={}",
-        totals.shuffle_parts, totals.shuffle_bytes, totals.stitched_rows, totals.incomplete_queries,
+        totals[Counter::ShuffleParts], totals[Counter::ShuffleBytes], totals[Counter::StitchedRows], totals[Counter::IncompleteQueries],
     );
     println!("\nShape check: every strategy returns the same solution set —");
     println!("the distribution strategy moves the join, never the answer.");

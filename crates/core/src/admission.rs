@@ -17,8 +17,9 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use rdfmesh_obs::{Counter, CounterSet};
+
 use crate::config::LiveConfig;
-use crate::stats::LiveStats;
 
 /// Counts of the admission window at one instant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,7 +43,7 @@ struct Inner {
 #[derive(Debug, Clone)]
 pub struct Admission {
     inner: Arc<Inner>,
-    stats: Arc<LiveStats>,
+    counters: Arc<CounterSet>,
 }
 
 /// Held for the duration of one admitted query execution; dropping it
@@ -63,9 +64,9 @@ impl Drop for Permit {
 
 impl Admission {
     /// A window sized by [`LiveConfig::max_inflight`] and
-    /// [`LiveConfig::queue_depth`], recording admitted/queued/rejected
-    /// into `stats` (and through it the `live.*` metrics).
-    pub fn new(cfg: &LiveConfig, stats: Arc<LiveStats>) -> Admission {
+    /// [`LiveConfig::queue_depth`], counting admitted/queued/rejected
+    /// executions into `counters`.
+    pub fn new(cfg: &LiveConfig, counters: Arc<CounterSet>) -> Admission {
         Admission {
             inner: Arc::new(Inner {
                 max_inflight: cfg.max_inflight.max(1),
@@ -73,7 +74,7 @@ impl Admission {
                 load: Mutex::new(AdmissionLoad::default()),
                 freed: Condvar::new(),
             }),
-            stats,
+            counters,
         }
     }
 
@@ -85,22 +86,22 @@ impl Admission {
         let mut load = self.inner.load.lock().unwrap_or_else(|e| e.into_inner());
         if load.inflight < self.inner.max_inflight {
             load.inflight += 1;
-            self.stats.add_admitted(1);
+            self.counters.add(Counter::Admitted, 1);
             return Ok(Permit { inner: Arc::clone(&self.inner) });
         }
         if load.queued >= self.inner.queue_depth {
             drop(load);
-            self.stats.add_rejected(1);
+            self.counters.add(Counter::Rejected, 1);
             return Err(retry_after(wait_limit));
         }
         load.queued += 1;
-        self.stats.add_queued(1);
+        self.counters.add(Counter::Queued, 1);
         loop {
             let now = Instant::now();
             if now >= deadline {
                 load.queued -= 1;
                 drop(load);
-                self.stats.add_rejected(1);
+                self.counters.add(Counter::Rejected, 1);
                 return Err(retry_after(wait_limit));
             }
             let (next, _) = self
@@ -118,7 +119,7 @@ impl Admission {
                 if load.inflight < self.inner.max_inflight && load.queued > 0 {
                     self.inner.freed.notify_one();
                 }
-                self.stats.add_admitted(1);
+                self.counters.add(Counter::Admitted, 1);
                 return Ok(Permit { inner: Arc::clone(&self.inner) });
             }
         }
@@ -143,7 +144,7 @@ mod tests {
 
     fn gate(max_inflight: usize, queue_depth: usize) -> Admission {
         let cfg = LiveConfig { max_inflight, queue_depth, ..LiveConfig::default() };
-        Admission::new(&cfg, Arc::new(LiveStats::default()))
+        Admission::new(&cfg, Arc::default())
     }
 
     #[test]
@@ -187,13 +188,16 @@ mod tests {
 
     #[test]
     fn stats_track_every_outcome() {
-        let stats = Arc::new(LiveStats::default());
+        let counters = Arc::new(CounterSet::default());
         let cfg = LiveConfig { max_inflight: 1, queue_depth: 0, ..LiveConfig::default() };
-        let a = Admission::new(&cfg, Arc::clone(&stats));
+        let a = Admission::new(&cfg, Arc::clone(&counters));
         let p = a.acquire(Duration::from_millis(10)).unwrap();
         assert!(a.acquire(Duration::from_millis(10)).is_err());
         drop(p);
-        let snap = stats.snapshot();
-        assert_eq!((snap.admitted, snap.rejected, snap.queued), (1, 1, 0));
+        let snap = counters.snapshot();
+        assert_eq!(
+            (snap[Counter::Admitted], snap[Counter::Rejected], snap[Counter::Queued]),
+            (1, 1, 0)
+        );
     }
 }

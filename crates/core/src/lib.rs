@@ -39,6 +39,7 @@ pub use engine::{global_store, Engine, EngineError, Execution, FrequencyEstimato
 pub use exec::{ExecNode, ExecPlan, Mat, MeshBackend, OpKind, PrimitiveOp};
 pub use rdfmesh_cache::{CacheConfig, CacheStats, QueryCache};
 pub use rdfmesh_net::FaultPlan;
+pub use rdfmesh_obs::{Counter, CounterSnapshot};
 pub use live::{
     DeadlineStage, LiveAnswer, LiveMesh, LiveMsg, Mesh, QueryId, Round, RoundHandle, RoundStrategy,
     Transport, COORDINATOR,
@@ -47,5 +48,5 @@ pub use live_backend::{LiveBackend, LiveError, LiveExecution, SolutionRounds};
 pub use node::MeshNode;
 pub use planner::{compile, estimate_primitive, plan, CostEstimate, Plan, PlanObjective};
 pub use sim_backend::SimBackend;
-pub use stats::{LiveStats, LiveStatsSnapshot, QueryStats};
+pub use stats::QueryStats;
 pub use system::{SharingSystem, SystemBuilder};

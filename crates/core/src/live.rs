@@ -46,9 +46,8 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use rdfmesh_net::{
-    Cluster, Envelope, FaultPlan, Handler, NodeId, Outbox, TcpCluster, TransportSnapshot,
-};
+use rdfmesh_net::{Cluster, Envelope, FaultPlan, Handler, NodeId, Outbox, TcpCluster};
+use rdfmesh_obs::{Counter, CounterSet, CounterSnapshot};
 use rdfmesh_overlay::{key_for_pattern, keys_for_triple, Overlay};
 use rdfmesh_rdf::{SharedStore, TriplePattern, Variable};
 use rdfmesh_sparql::eval::evaluate_pattern_with;
@@ -57,7 +56,6 @@ use rdfmesh_sparql::solution::{join, wire, DistinctBuffer, Solution};
 
 use crate::admission::Admission;
 use crate::config::{DistStrategy, LiveConfig};
-use crate::stats::{LiveStats, LiveStatsSnapshot};
 
 /// Identifies one in-flight live query. Every protocol message carries
 /// the id of the query it belongs to, so a late or duplicated reply from
@@ -302,19 +300,6 @@ enum Action {
     },
 }
 
-/// Monotonic fault counters the core accumulates; the handler diffs them
-/// into the shared [`LiveStats`] after every message.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct LiveCounters {
-    retries: u64,
-    ack_timeouts: u64,
-    send_failures: u64,
-    stale_replies: u64,
-    incomplete_queries: u64,
-    lookup_failures: u64,
-    stitched_rows: u64,
-}
-
 /// How a flight assembles its providers' answers.
 #[derive(Debug)]
 enum Gather {
@@ -386,7 +371,7 @@ pub(crate) struct CoordinatorCore {
     /// serve-mode membership protocol can extend it as peers join.
     flood: SharedFlood,
     flights: HashMap<QueryId, Flight>,
-    counters: LiveCounters,
+    counters: Arc<CounterSet>,
 }
 
 impl CoordinatorCore {
@@ -396,9 +381,9 @@ impl CoordinatorCore {
         cfg: LiveConfig,
         space: rdfmesh_chord::IdSpace,
         flood: SharedFlood,
+        counters: Arc<CounterSet>,
     ) -> Self {
-        let (flights, counters) = (HashMap::new(), LiveCounters::default());
-        CoordinatorCore { me, index, cfg, space, flood, flights, counters }
+        CoordinatorCore { me, index, cfg, space, flood, flights: HashMap::new(), counters }
     }
 
     fn on_event(&mut self, from: NodeId, msg: LiveMsg) -> Vec<Action> {
@@ -511,7 +496,7 @@ impl CoordinatorCore {
         let Some(f) =
             self.flights.get_mut(&qid).filter(|f| matches!(f.providers.get(i), Some(None)))
         else {
-            self.counters.stale_replies += 1;
+            self.counters.add(Counter::StaleReplies, 1);
             return Vec::new();
         };
         if providers.is_empty() {
@@ -539,12 +524,12 @@ impl CoordinatorCore {
     /// and the solution sets move into the gather.
     fn on_answer(&mut self, qid: QueryId, from: NodeId, sets: Vec<Vec<Solution>>) -> Vec<Action> {
         let Some(f) = self.flights.get_mut(&qid) else {
-            self.counters.stale_replies += 1;
+            self.counters.add(Counter::StaleReplies, 1);
             return Vec::new();
         };
         // Only an awaited provider's reply counts, and only once.
         if !f.outstanding.contains_key(&from) || !f.gather.absorb(sets) {
-            self.counters.stale_replies += 1;
+            self.counters.add(Counter::StaleReplies, 1);
             return Vec::new();
         }
         f.outstanding.remove(&from);
@@ -563,10 +548,10 @@ impl CoordinatorCore {
         }
         if attempt < self.cfg.retries {
             f.lookups[i] = attempt + 1;
-            self.counters.retries += 1;
+            self.counters.add(Counter::Retries, 1);
             self.lookup(qid, i, attempt + 1)
         } else {
-            self.counters.lookup_failures += 1;
+            self.counters.add(Counter::LookupFailures, 1);
             self.finish(qid, false)
         }
     }
@@ -578,12 +563,12 @@ impl CoordinatorCore {
         }
         if attempt < self.cfg.retries {
             f.outstanding.insert(provider, attempt + 1);
-            self.counters.retries += 1;
+            self.counters.add(Counter::Retries, 1);
             return self.exec(qid, provider, attempt + 1);
         }
         f.outstanding.remove(&provider);
         f.failed.push(provider);
-        self.counters.ack_timeouts += 1;
+        self.counters.add(Counter::AckTimeouts, 1);
         // Purge the dead provider from every slot row that named it —
         // each slot's key may live at a different index owner.
         let index = self.index;
@@ -635,7 +620,7 @@ impl CoordinatorCore {
     /// times out its slot; a lost `ProviderDead` or `Done` only postpones
     /// lazy cleanup.
     fn on_send_failed(&mut self, msg: &LiveMsg) -> Vec<Action> {
-        self.counters.send_failures += 1;
+        self.counters.add(Counter::SendFailures, 1);
         let LiveMsg::Lookup { qid, slot, .. } = *msg else { return Vec::new() };
         match self.flights.get(&qid).and_then(|f| f.lookups.get(slot as usize)).copied() {
             Some(attempt) => self.on_lookup_timeout(qid, slot, attempt),
@@ -646,7 +631,7 @@ impl CoordinatorCore {
     /// A failed exec frame to `to` fails every round it carried (`qids`):
     /// each becomes an immediate ack timeout at its current attempt.
     fn on_exec_failed(&mut self, to: NodeId, qids: &[QueryId]) -> Vec<Action> {
-        self.counters.send_failures += 1;
+        self.counters.add(Counter::SendFailures, 1);
         qids.iter()
             .flat_map(|&qid| {
                 match self.flights.get(&qid).and_then(|f| f.outstanding.get(&to)).copied() {
@@ -660,7 +645,7 @@ impl CoordinatorCore {
     fn finish(&mut self, qid: QueryId, complete: bool) -> Vec<Action> {
         let Some(f) = self.flights.remove(&qid) else { return Vec::new() };
         if !complete {
-            self.counters.incomplete_queries += 1;
+            self.counters.add(Counter::IncompleteQueries, 1);
         }
         let solutions = match f.gather {
             Gather::Union(buf) => buf.into_vec(),
@@ -673,7 +658,8 @@ impl CoordinatorCore {
                 }
                 let mut assembled = DistinctBuffer::new();
                 assembled.extend_distinct(acc);
-                self.counters.stitched_rows += assembled.len().saturating_sub(local.len()) as u64;
+                let stitched = assembled.len().saturating_sub(local.len());
+                self.counters.add(Counter::StitchedRows, stitched as u64);
                 assembled.into_vec()
             }
         };
@@ -717,16 +703,11 @@ pub(crate) fn wlock<T>(m: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 /// (turning failed sends back into events), and hands finished answers
 /// to the waiting caller.
 pub(crate) struct Coordinator {
-    core: CoordinatorCore,
-    pending: PendingMap,
-    shared: Arc<LiveStats>,
-    synced: LiveCounters,
+    pub(crate) core: CoordinatorCore,
+    pub(crate) pending: PendingMap,
 }
 
 impl Coordinator {
-    pub(crate) fn new(core: CoordinatorCore, pending: PendingMap, shared: Arc<LiveStats>) -> Self {
-        Coordinator { core, pending, shared, synced: LiveCounters::default() }
-    }
 
     /// Executes the state machine's actions. Execs are not sent one by
     /// one: within one handler turn every round bound for the same
@@ -752,9 +733,6 @@ impl Coordinator {
                     }
                     Action::Schedule { after, msg } => out.schedule(after, msg),
                     Action::Finish { qid, answer } => {
-                        // Counters first, so a caller woken by the answer
-                        // sees every fault that shaped it.
-                        self.sync_counters();
                         // Removing the sender is what makes "done" single-shot.
                         if let Some(tx) = lock(&self.pending).remove(&qid) {
                             let _ = tx.send(answer);
@@ -766,30 +744,22 @@ impl Coordinator {
                 break;
             }
             for (to, rounds) in buffered {
-                if rounds.len() > 1 {
-                    self.shared.add_batches(1);
-                    self.shared.add_batched_rounds(rounds.len() as u64);
-                }
+                count_batch(&self.core.counters, rounds.len());
                 let qids: Vec<QueryId> = rounds.iter().map(|r| r.qid).collect();
                 if !out.send(to, LiveMsg::Exec { rounds, reply_to: self.core.me }) {
                     actions.extend(self.core.on_exec_failed(to, &qids));
                 }
             }
         }
-        self.sync_counters();
     }
+}
 
-    fn sync_counters(&mut self) {
-        let now = self.core.counters;
-        let last = self.synced;
-        self.shared.add_retries(now.retries - last.retries);
-        self.shared.add_ack_timeouts(now.ack_timeouts - last.ack_timeouts);
-        self.shared.add_send_failures(now.send_failures - last.send_failures);
-        self.shared.add_stale_replies(now.stale_replies - last.stale_replies);
-        self.shared.add_incomplete_queries(now.incomplete_queries - last.incomplete_queries);
-        self.shared.add_lookup_failures(now.lookup_failures - last.lookup_failures);
-        self.shared.add_stitched_rows(now.stitched_rows - last.stitched_rows);
-        self.synced = now;
+/// Counts a frame carrying `rounds` rounds as a batch when it carries
+/// more than one.
+fn count_batch(counters: &CounterSet, rounds: usize) {
+    if rounds > 1 {
+        counters.add(Counter::Batches, 1);
+        counters.add(Counter::BatchedRounds, rounds as u64);
     }
 }
 
@@ -811,7 +781,7 @@ pub(crate) struct IndexNode {
     /// hop by hop; one-shot resolution keeps the thread demo focused on
     /// the query protocol itself.
     pub(crate) ring_view: RingView,
-    pub(crate) stats: Arc<LiveStats>,
+    pub(crate) counters: Arc<CounterSet>,
 }
 
 pub(crate) fn owner_in_view(ring_view: &[(u64, NodeId)], key: u64) -> NodeId {
@@ -857,7 +827,7 @@ impl Handler<LiveMsg> for IndexNode {
                         table.remove(&k.id.0);
                     }
                     drop(table);
-                    self.stats.add_providers_purged(removed);
+                    self.counters.add(Counter::ProvidersPurged, removed);
                 }
             }
             LiveMsg::Publish { keys, provider } => {
@@ -912,20 +882,20 @@ const SHUFFLE_STATE_CAP: usize = 1024;
 
 pub(crate) struct LiveStorage {
     store: SharedStore,
-    stats: Arc<LiveStats>,
+    counters: Arc<CounterSet>,
     /// In-flight HyperCube rounds this node participates in.
     shuffle: HashMap<QueryId, ShuffleState>,
 }
 
 impl LiveStorage {
-    pub(crate) fn new(store: SharedStore, stats: Arc<LiveStats>) -> Self {
-        LiveStorage { store, stats, shuffle: HashMap::new() }
+    pub(crate) fn new(store: SharedStore, counters: Arc<CounterSet>) -> Self {
+        LiveStorage { store, counters, shuffle: HashMap::new() }
     }
 
     /// Counts solutions leaving this node for the coordinator.
     fn account(&self, solutions: &[Solution]) {
-        self.stats.add_solutions_shipped(solutions.len() as u64);
-        self.stats.add_solution_bytes(wire::encode(solutions).len() as u64);
+        self.counters.add(Counter::SolutionsShipped, solutions.len() as u64);
+        self.counters.add(Counter::SolutionBytes, wire::encode(solutions).len() as u64);
     }
 
     /// Local execution (Fig. 3) of a chained or partial-evaluation
@@ -1016,8 +986,8 @@ impl LiveStorage {
                 } else {
                     let shipped: usize = mine.iter().map(Vec::len).sum();
                     let bytes: usize = mine.iter().map(|set| wire::encode(set).len()).sum();
-                    self.stats.add_shuffle_parts(shipped as u64);
-                    self.stats.add_shuffle_bytes(bytes as u64);
+                    self.counters.add(Counter::ShuffleParts, shipped as u64);
+                    self.counters.add(Counter::ShuffleBytes, bytes as u64);
                     out.send(*peer, LiveMsg::ShufflePart { qid, generation, parts: mine });
                 }
             }
@@ -1066,10 +1036,7 @@ impl Handler<LiveMsg> for LiveStorage {
                 // in one frame too, so the reply path amortizes the same
                 // framing the request path did. A HyperCube round still
                 // waiting on partitions answers later, on its own.
-                if rounds.len() > 1 {
-                    self.stats.add_batches(1);
-                    self.stats.add_batched_rounds(rounds.len() as u64);
-                }
+                count_batch(&self.counters, rounds.len());
                 let mut entries = Vec::with_capacity(rounds.len());
                 for round in rounds {
                     let qid = round.qid;
@@ -1119,7 +1086,7 @@ const SUBMIT_COALESCE: usize = 64;
 /// travels alone (zero added latency — the blocking `recv` forwards it
 /// immediately); batches only form under concurrency, which is exactly
 /// when the framing amortization pays.
-fn spawn_submit_pump<F>(rx: Receiver<Round>, stats: Arc<LiveStats>, inject: F)
+fn spawn_submit_pump<F>(rx: Receiver<Round>, counters: Arc<CounterSet>, inject: F)
 where
     F: Fn(LiveMsg) + Send + 'static,
 {
@@ -1129,10 +1096,7 @@ where
             while let Ok(first) = rx.recv() {
                 let mut rounds = vec![first];
                 rounds.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(SUBMIT_COALESCE - 1));
-                if rounds.len() > 1 {
-                    stats.add_batches(1);
-                    stats.add_batched_rounds(rounds.len() as u64);
-                }
+                count_batch(&counters, rounds.len());
                 inject(LiveMsg::Submit { rounds });
             }
         })
@@ -1184,7 +1148,7 @@ pub struct Mesh<H> {
     pending: PendingMap,
     pump: Sender<Round>,
     admission: Admission,
-    stats: Arc<LiveStats>,
+    counters: Arc<CounterSet>,
 }
 
 impl<H> Mesh<H> {
@@ -1195,19 +1159,19 @@ impl<H> Mesh<H> {
         cfg: LiveConfig,
         space: rdfmesh_chord::IdSpace,
         ring_view: RingView,
-        stats: Arc<LiveStats>,
+        counters: Arc<CounterSet>,
         pending: PendingMap,
         inject: impl Fn(LiveMsg) + Send + 'static,
     ) -> Self {
         let (pump, rx) = unbounded();
-        spawn_submit_pump(rx, Arc::clone(&stats), inject);
-        let admission = Admission::new(&cfg, Arc::clone(&stats));
+        spawn_submit_pump(rx, Arc::clone(&counters), inject);
+        let admission = Admission::new(&cfg, Arc::clone(&counters));
         let next_qid = AtomicU64::new(1);
-        Mesh { host, cfg, space, ring_view, next_qid, pending, pump, admission, stats }
+        Mesh { host, cfg, space, ring_view, next_qid, pending, pump, admission, counters }
     }
 
     fn submit(&self, round: impl FnOnce(QueryId) -> Round) -> RoundHandle {
-        self.stats.add_solution_rounds(1);
+        self.counters.add(Counter::SolutionRounds, 1);
         let qid = QueryId(self.next_qid.fetch_add(1, Ordering::Relaxed));
         let (tx, rx) = bounded(1);
         lock(&self.pending).insert(qid, tx);
@@ -1280,9 +1244,20 @@ impl<H> Mesh<H> {
         self.cfg
     }
 
-    /// Fault-tolerance counters accumulated so far.
-    pub fn stats(&self) -> LiveStatsSnapshot {
-        self.stats.snapshot()
+    /// Every counter of the mesh so far (`transport.*` stay zero on
+    /// [`Transport::Threads`]).
+    pub fn stats(&self) -> CounterSnapshot {
+        self.counters.snapshot()
+    }
+
+    /// Messages delivered so far (across all threads).
+    pub fn message_count(&self) -> u64 {
+        self.counters.get(Counter::ClusterMessages)
+    }
+
+    /// Messages lost so far to the fault plan or crashed nodes.
+    pub fn dropped_count(&self) -> u64 {
+        self.counters.get(Counter::ClusterDropped)
     }
 
     /// The index node whose location table owns `pattern`'s key in this
@@ -1290,6 +1265,14 @@ impl<H> Mesh<H> {
     /// pattern (which has no key).
     pub fn index_owner_of(&self, pattern: &TriplePattern) -> Option<NodeId> {
         key_for_pattern(self.space, pattern).map(|k| owner_in_view(&rlock(&self.ring_view), k.id.0))
+    }
+}
+
+impl<H> Drop for Mesh<H> {
+    /// Hands the mesh's final counts to the process registry, once per
+    /// mesh (see [`CounterSet::publish`]).
+    fn drop(&mut self) {
+        self.counters.publish();
     }
 }
 
@@ -1396,7 +1379,7 @@ impl Mesh<Loopback> {
             .collect();
         ring_view.sort();
         let ring_view: RingView = Arc::new(RwLock::new(ring_view));
-        let stats = Arc::new(LiveStats::default());
+        let counters = Arc::new(CounterSet::default());
         let pending: PendingMap = Arc::new(Mutex::new(HashMap::new()));
         let mut shared_tables: HashMap<NodeId, SharedTable> = HashMap::new();
         let mut nodes: Vec<(NodeId, Box<dyn Handler<LiveMsg>>)> = Vec::new();
@@ -1404,13 +1387,13 @@ impl Mesh<Loopback> {
             let table: SharedTable = Arc::new(Mutex::new(tables.remove(ix).unwrap_or_default()));
             shared_tables.insert(*ix, Arc::clone(&table));
             let ring_view = Arc::clone(&ring_view);
-            let stats = Arc::clone(&stats);
-            nodes.push((*ix, Box::new(IndexNode { table, space, ring_view, stats })));
+            let counters = Arc::clone(&counters);
+            nodes.push((*ix, Box::new(IndexNode { table, space, ring_view, counters })));
         }
         let mut flood: Vec<NodeId> = Vec::new();
         for storage in overlay.storage_nodes() {
             let store = overlay.storage_node(storage).expect("listed").store.clone();
-            nodes.push((storage, Box::new(LiveStorage::new(store, Arc::clone(&stats)))));
+            nodes.push((storage, Box::new(LiveStorage::new(store, Arc::clone(&counters)))));
             flood.push(storage);
         }
         flood.sort();
@@ -1420,16 +1403,20 @@ impl Mesh<Loopback> {
             cfg,
             space,
             Arc::new(RwLock::new(flood)),
+            Arc::clone(&counters),
         );
-        let coordinator = Coordinator::new(core, Arc::clone(&pending), Arc::clone(&stats));
+        let coordinator = Coordinator { core, pending: Arc::clone(&pending) };
         nodes.push((COORDINATOR, Box::new(coordinator)));
+        let shared = Arc::clone(&counters);
         let cluster = Arc::new(match transport {
-            Transport::Threads => MeshCluster::Threads(Cluster::spawn_with(nodes, plan)),
-            Transport::Sockets => MeshCluster::Sockets(TcpCluster::spawn_loopback(nodes, plan)?),
+            Transport::Threads => MeshCluster::Threads(Cluster::spawn_with(nodes, plan, shared)),
+            Transport::Sockets => {
+                MeshCluster::Sockets(TcpCluster::spawn_loopback(nodes, plan, shared)?)
+            }
         });
         let pump = Arc::clone(&cluster);
         let host = Loopback { cluster, tables: shared_tables };
-        Ok(Mesh::with_front(host, cfg, space, ring_view, stats, pending, move |msg| {
+        Ok(Mesh::with_front(host, cfg, space, ring_view, counters, pending, move |msg| {
             on_cluster!(pump, c => c.inject(COORDINATOR, COORDINATOR, msg));
         }))
     }
@@ -1471,25 +1458,6 @@ impl Mesh<Loopback> {
         let mut row = lock(table).get(&key.id.0).cloned().unwrap_or_default();
         row.sort();
         row
-    }
-
-    /// Messages delivered so far (across all threads).
-    pub fn message_count(&self) -> u64 {
-        on_cluster!(self.host.cluster, c => c.message_count())
-    }
-
-    /// Messages lost so far to the fault plan or crashed nodes.
-    pub fn dropped_count(&self) -> u64 {
-        on_cluster!(self.host.cluster, c => c.dropped_count())
-    }
-
-    /// Socket-layer counters (`transport.*` metric names), or `None` on
-    /// [`Transport::Threads`] where no wire exists.
-    pub fn transport_stats(&self) -> Option<TransportSnapshot> {
-        match &*self.host.cluster {
-            MeshCluster::Threads(_) => None,
-            MeshCluster::Sockets(c) => Some(c.transport_stats()),
-        }
     }
 
     /// Stops every node thread.
@@ -1563,7 +1531,7 @@ mod tests {
         // Protocol shape: 1 lookup + 1 providers + k execs + k answers.
         assert!(mesh.message_count() >= 4);
         // A lone query travels as a batch of one: no batched frame.
-        assert_eq!(mesh.stats().batches, 0);
+        assert_eq!(mesh.stats()[Counter::Batches], 0);
         mesh.shutdown();
     }
 
@@ -1647,8 +1615,9 @@ mod tests {
         let s = mesh.stats();
         // Two storage nodes: the coordinator shipped each one 2-round
         // Exec frame and each counted one on arrival.
-        assert!(s.batches >= 4, "expected coalesced frames, got {} batches", s.batches);
-        assert!(s.batched_rounds >= 8, "rounds carried in batches: {}", s.batched_rounds);
+        let (batches, batched) = (s[Counter::Batches], s[Counter::BatchedRounds]);
+        assert!(batches >= 4, "expected coalesced frames, got {batches} batches");
+        assert!(batched >= 8, "rounds carried in batches: {batched}");
         mesh.shutdown();
     }
 
@@ -1678,6 +1647,7 @@ mod tests {
                 LiveConfig::default(),
                 rdfmesh_chord::IdSpace::new(32),
                 Arc::new(RwLock::new(vec![P1, P2, P3])),
+                Arc::default(),
             )
         }
 
@@ -1742,7 +1712,7 @@ mod tests {
             // Duplicate from P1: dropped, not applied.
             let dup = c.on_event(P1, answer(qid, vec![xsol(9)]));
             assert!(dup.is_empty());
-            assert_eq!(c.counters.stale_replies, 1);
+            assert_eq!(c.counters.get(Counter::StaleReplies), 1);
             let done = finishes(&c.on_event(P2, answer(qid, vec![xsol(2)])));
             assert_eq!(done.len(), 1);
             assert!(done[0].1.complete);
@@ -1750,7 +1720,7 @@ mod tests {
             // Post-completion reply: dropped.
             let late = c.on_event(P2, answer(qid, vec![xsol(3)]));
             assert!(late.is_empty());
-            assert_eq!(c.counters.stale_replies, 2);
+            assert_eq!(c.counters.get(Counter::StaleReplies), 2);
         }
 
         #[test]
@@ -1780,7 +1750,7 @@ mod tests {
             // P2 never answers: deadline at attempt 0 retries...
             let retry = c.on_event(COORDINATOR, deadline(qid, ack(P2, 0)));
             assert_eq!(exec_targets(&retry), vec![P2]);
-            assert_eq!(c.counters.retries, 1);
+            assert_eq!(c.counters.get(Counter::Retries), 1);
             // ...and the deadline at attempt 1 gives up.
             let give_up = c.on_event(COORDINATOR, deadline(qid, ack(P2, 1)));
             assert!(give_up.iter().any(|a| matches!(
@@ -1794,7 +1764,7 @@ mod tests {
             assert!(!answer.complete);
             assert_eq!(answer.failed_providers, vec![P2]);
             assert_eq!(answer.solutions, vec![xsol(1)]);
-            assert_eq!(c.counters.ack_timeouts, 1);
+            assert_eq!(c.counters.get(Counter::AckTimeouts), 1);
         }
 
         #[test]
@@ -1811,7 +1781,7 @@ mod tests {
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
             assert_eq!(done[0].1.failed_providers, vec![P1]);
-            assert_eq!(c.counters.send_failures, 2);
+            assert_eq!(c.counters.get(Counter::SendFailures), 2);
         }
 
         #[test]
@@ -1835,8 +1805,8 @@ mod tests {
             let done = finishes(&c.on_send_failed(&lookup));
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
-            assert_eq!(c.counters.lookup_failures, 1);
-            assert_eq!(c.counters.send_failures, 1);
+            assert_eq!(c.counters.get(Counter::LookupFailures), 1);
+            assert_eq!(c.counters.get(Counter::SendFailures), 1);
             assert!(c.flights.is_empty());
         }
 
@@ -1952,7 +1922,7 @@ mod tests {
             assert_eq!(done[0].1.solutions, vec![xsol(1)]);
             assert_eq!(done[1].0, q2);
             assert_eq!(done[1].1.solutions, vec![xsol(2)]);
-            assert_eq!(c.counters.stale_replies, 1);
+            assert_eq!(c.counters.get(Counter::StaleReplies), 1);
             assert!(c.flights.is_empty());
         }
 
@@ -1975,7 +1945,7 @@ mod tests {
                 assert!(!answer.complete);
                 assert_eq!(answer.failed_providers, vec![P1]);
             }
-            assert_eq!(c.counters.send_failures, 2, "one failure per frame");
+            assert_eq!(c.counters.get(Counter::SendFailures), 2, "one failure per frame");
             assert!(c.flights.is_empty());
         }
 
@@ -2116,7 +2086,7 @@ mod tests {
             assert_eq!(exec_targets(&fan), vec![P1, P2]);
             // A reply with the wrong number of slot sets is stale.
             c.on_event(P1, answer(qid, vec![xy(1, 1)]));
-            assert_eq!(c.counters.stale_replies, 1);
+            assert_eq!(c.counters.get(Counter::StaleReplies), 1);
             // P1 holds only pattern-0 rows and P2 only pattern-1 rows:
             // no provider joins anything locally, so the one assembled
             // row is a stitched cross-site match.
@@ -2128,7 +2098,7 @@ mod tests {
             assert!(done[0].1.complete);
             let expect = join(&[xy(1, 1)], &[xz(1, 5)]);
             assert_eq!(done[0].1.solutions, expect, "only the compatible pair assembles");
-            assert_eq!(c.counters.stitched_rows, 1);
+            assert_eq!(c.counters.get(Counter::StitchedRows), 1);
         }
 
         #[test]
@@ -2205,7 +2175,7 @@ mod tests {
             let done = finishes(&c.on_event(COORDINATOR, lookup(1, 1)));
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
-            assert_eq!(c.counters.lookup_failures, 1);
+            assert_eq!(c.counters.get(Counter::LookupFailures), 1);
             assert!(c.flights.is_empty());
         }
 

@@ -30,7 +30,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use rdfmesh_net::{FaultPlan, Handler, NodeId, TcpCluster, TransportSnapshot};
+use rdfmesh_net::{FaultPlan, Handler, NodeId, TcpCluster};
+use rdfmesh_obs::CounterSet;
 use rdfmesh_overlay::keys_for_triple;
 #[cfg(test)]
 use rdfmesh_rdf::TripleStore;
@@ -41,7 +42,6 @@ use crate::live::{
     lock, owner_in_view, wlock, Coordinator, CoordinatorCore, IndexNode, LiveMsg, LiveStorage,
     Mesh, PendingMap, RingView, SharedFlood, SharedTable,
 };
-use crate::stats::LiveStats;
 
 /// Offset of a process's index-node id from its base id `n`.
 pub const INDEX_BASE: u64 = 1 << 32;
@@ -306,25 +306,33 @@ impl Mesh<Process> {
         keys.sort_unstable();
         keys.dedup();
 
-        let stats = Arc::new(LiveStats::default());
+        let counters = Arc::new(CounterSet::default());
         let pending: PendingMap = Arc::new(Mutex::new(HashMap::new()));
         let ring_view: RingView = Arc::new(std::sync::RwLock::new(vec![(pos, index_id)]));
         let flood: SharedFlood = Arc::new(std::sync::RwLock::new(vec![storage_id]));
         let table: SharedTable = Arc::new(Mutex::new(HashMap::new()));
 
-        let core = CoordinatorCore::new(coord_id, index_id, cfg, space, Arc::clone(&flood));
+        let core = CoordinatorCore::new(
+            coord_id,
+            index_id,
+            cfg,
+            space,
+            Arc::clone(&flood),
+            Arc::clone(&counters),
+        );
         let index = IndexNode {
             table,
             space,
             ring_view: Arc::clone(&ring_view),
-            stats: Arc::clone(&stats),
+            counters: Arc::clone(&counters),
         };
         let nodes: Vec<(NodeId, Box<dyn Handler<LiveMsg>>)> = vec![
-            (storage_id, Box::new(LiveStorage::new(store, Arc::clone(&stats)))),
+            (storage_id, Box::new(LiveStorage::new(store, Arc::clone(&counters)))),
             (index_id, Box::new(index)),
-            (coord_id, Box::new(Coordinator::new(core, Arc::clone(&pending), Arc::clone(&stats)))),
+            (coord_id, Box::new(Coordinator { core, pending: Arc::clone(&pending) })),
         ];
-        let cluster = Arc::new(TcpCluster::bind(listen, nodes, FaultPlan::new())?);
+        let cluster = TcpCluster::bind(listen, nodes, FaultPlan::new(), Arc::clone(&counters))?;
+        let cluster = Arc::new(cluster);
 
         let me = Member { id, pos, addr: cluster.local_addr().to_string() };
         let shared = Arc::new(NodeShared {
@@ -356,7 +364,7 @@ impl Mesh<Process> {
         let pump = Arc::clone(&cluster);
         let membership = Mutex::new(Some(membership));
         let host = Process { cluster, shared, closing, membership };
-        Ok(Mesh::with_front(host, cfg, space, ring_view, stats, pending, move |msg| {
+        Ok(Mesh::with_front(host, cfg, space, ring_view, counters, pending, move |msg| {
             pump.inject(coord_id, coord_id, msg);
         }))
     }
@@ -384,11 +392,6 @@ impl Mesh<Process> {
     /// This node's base id.
     pub fn id(&self) -> u64 {
         self.host.shared.me.id
-    }
-
-    /// Socket-layer counters (`transport.*` metric names).
-    pub fn transport_stats(&self) -> TransportSnapshot {
-        self.host.cluster.transport_stats()
     }
 
     /// Stops the membership thread and every node thread.

@@ -90,203 +90,6 @@ impl std::fmt::Display for QueryStats {
     }
 }
 
-/// Shared fault-tolerance counters of one [`crate::LiveMesh`].
-///
-/// Bumped by the coordinator's state machine and the index nodes as the
-/// live protocol detects churn; every bump is mirrored into the global
-/// [`rdfmesh_obs::metrics()`] registry under the `live.*` names so the
-/// soak experiment (§E16) and dashboards see the same numbers.
-#[derive(Debug, Default)]
-pub struct LiveStats {
-    retries: std::sync::atomic::AtomicU64,
-    ack_timeouts: std::sync::atomic::AtomicU64,
-    send_failures: std::sync::atomic::AtomicU64,
-    stale_replies: std::sync::atomic::AtomicU64,
-    providers_purged: std::sync::atomic::AtomicU64,
-    incomplete_queries: std::sync::atomic::AtomicU64,
-    lookup_failures: std::sync::atomic::AtomicU64,
-    solution_rounds: std::sync::atomic::AtomicU64,
-    solutions_shipped: std::sync::atomic::AtomicU64,
-    solution_bytes: std::sync::atomic::AtomicU64,
-    admitted: std::sync::atomic::AtomicU64,
-    queued: std::sync::atomic::AtomicU64,
-    rejected: std::sync::atomic::AtomicU64,
-    batches: std::sync::atomic::AtomicU64,
-    batched_rounds: std::sync::atomic::AtomicU64,
-    shuffle_parts: std::sync::atomic::AtomicU64,
-    shuffle_bytes: std::sync::atomic::AtomicU64,
-    stitched_rows: std::sync::atomic::AtomicU64,
-}
-
-/// A point-in-time copy of [`LiveStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LiveStatsSnapshot {
-    /// Sub-query/lookup retransmissions after an expired ack deadline.
-    pub retries: u64,
-    /// Providers declared dead after the bounded retries were exhausted.
-    pub ack_timeouts: u64,
-    /// Failed `Outbox::send`s, each treated as an immediate ack timeout.
-    pub send_failures: u64,
-    /// Replies dropped as stale (wrong/finished query, duplicate sender).
-    pub stale_replies: u64,
-    /// Location-table entries lazily purged via `ProviderDead`.
-    pub providers_purged: u64,
-    /// Queries answered with `complete == false`.
-    pub incomplete_queries: u64,
-    /// Lookups the index node never answered within the deadline.
-    pub lookup_failures: u64,
-    /// Solution rounds issued (one per plan primitive or bound
-    /// sub-query executed through [`crate::LiveMesh::query_solutions`]).
-    pub solution_rounds: u64,
-    /// Solution mappings shipped by storage nodes answering solution
-    /// rounds.
-    pub solutions_shipped: u64,
-    /// Wire bytes of those solutions, sized by the
-    /// `rdfmesh_sparql::solution::wire` codec.
-    pub solution_bytes: u64,
-    /// Query executions admitted into the bounded in-flight window.
-    pub admitted: u64,
-    /// Admitted executions that first waited in the bounded queue.
-    pub queued: u64,
-    /// Executions rejected under overload (queue full or wait expired).
-    pub rejected: u64,
-    /// Batched frames shipped (more than one query's round coalesced).
-    pub batches: u64,
-    /// Per-query rounds that travelled inside a batched frame.
-    pub batched_rounds: u64,
-    /// Solution partitions shipped peer-to-peer by HyperCube shuffles.
-    pub shuffle_parts: u64,
-    /// Wire bytes of those peer-to-peer shuffle partitions.
-    pub shuffle_bytes: u64,
-    /// Assembled rows stitched from more than one provider's partial
-    /// matches (partial-evaluation queries only).
-    pub stitched_rows: u64,
-}
-
-impl LiveStats {
-    fn bump(counter: &std::sync::atomic::AtomicU64, name: &'static str, delta: u64) {
-        if delta > 0 {
-            counter.fetch_add(delta, std::sync::atomic::Ordering::Relaxed);
-            rdfmesh_obs::metrics().add(name, delta);
-        }
-    }
-
-    /// Adds `delta` retransmissions.
-    pub fn add_retries(&self, delta: u64) {
-        Self::bump(&self.retries, rdfmesh_obs::names::LIVE_RETRIES, delta);
-    }
-
-    /// Adds `delta` exhausted-retry provider deaths.
-    pub fn add_ack_timeouts(&self, delta: u64) {
-        Self::bump(&self.ack_timeouts, rdfmesh_obs::names::LIVE_ACK_TIMEOUTS, delta);
-    }
-
-    /// Adds `delta` failed sends.
-    pub fn add_send_failures(&self, delta: u64) {
-        Self::bump(&self.send_failures, rdfmesh_obs::names::LIVE_SEND_FAILURES, delta);
-    }
-
-    /// Adds `delta` stale replies.
-    pub fn add_stale_replies(&self, delta: u64) {
-        Self::bump(&self.stale_replies, rdfmesh_obs::names::LIVE_STALE_REPLIES, delta);
-    }
-
-    /// Adds `delta` lazily purged location-table entries.
-    pub fn add_providers_purged(&self, delta: u64) {
-        Self::bump(&self.providers_purged, rdfmesh_obs::names::LIVE_PROVIDERS_PURGED, delta);
-    }
-
-    /// Adds `delta` incomplete query completions.
-    pub fn add_incomplete_queries(&self, delta: u64) {
-        Self::bump(&self.incomplete_queries, rdfmesh_obs::names::LIVE_INCOMPLETE_QUERIES, delta);
-    }
-
-    /// Adds `delta` abandoned lookups.
-    pub fn add_lookup_failures(&self, delta: u64) {
-        Self::bump(&self.lookup_failures, rdfmesh_obs::names::LIVE_LOOKUP_FAILURES, delta);
-    }
-
-    /// Adds `delta` solution rounds.
-    pub fn add_solution_rounds(&self, delta: u64) {
-        Self::bump(&self.solution_rounds, rdfmesh_obs::names::LIVE_SOLUTION_ROUNDS, delta);
-    }
-
-    /// Adds `delta` shipped solution mappings.
-    pub fn add_solutions_shipped(&self, delta: u64) {
-        Self::bump(&self.solutions_shipped, rdfmesh_obs::names::LIVE_SOLUTIONS_SHIPPED, delta);
-    }
-
-    /// Adds `delta` wire bytes of shipped solutions.
-    pub fn add_solution_bytes(&self, delta: u64) {
-        Self::bump(&self.solution_bytes, rdfmesh_obs::names::LIVE_SOLUTION_BYTES, delta);
-    }
-
-    /// Adds `delta` admitted query executions.
-    pub fn add_admitted(&self, delta: u64) {
-        Self::bump(&self.admitted, rdfmesh_obs::names::LIVE_ADMITTED, delta);
-    }
-
-    /// Adds `delta` executions that waited in the admission queue.
-    pub fn add_queued(&self, delta: u64) {
-        Self::bump(&self.queued, rdfmesh_obs::names::LIVE_QUEUED, delta);
-    }
-
-    /// Adds `delta` executions rejected under overload.
-    pub fn add_rejected(&self, delta: u64) {
-        Self::bump(&self.rejected, rdfmesh_obs::names::LIVE_REJECTED, delta);
-    }
-
-    /// Adds `delta` batched (multi-round) frames.
-    pub fn add_batches(&self, delta: u64) {
-        Self::bump(&self.batches, rdfmesh_obs::names::LIVE_BATCHES, delta);
-    }
-
-    /// Adds `delta` rounds shipped inside batched frames.
-    pub fn add_batched_rounds(&self, delta: u64) {
-        Self::bump(&self.batched_rounds, rdfmesh_obs::names::LIVE_BATCHED_ROUNDS, delta);
-    }
-
-    /// Adds `delta` peer-to-peer shuffle partitions.
-    pub fn add_shuffle_parts(&self, delta: u64) {
-        Self::bump(&self.shuffle_parts, rdfmesh_obs::names::EXEC_STRATEGY_SHUFFLE_PARTS, delta);
-    }
-
-    /// Adds `delta` wire bytes of shuffle partitions.
-    pub fn add_shuffle_bytes(&self, delta: u64) {
-        Self::bump(&self.shuffle_bytes, rdfmesh_obs::names::EXEC_STRATEGY_SHUFFLE_BYTES, delta);
-    }
-
-    /// Adds `delta` cross-provider stitched assembly rows.
-    pub fn add_stitched_rows(&self, delta: u64) {
-        Self::bump(&self.stitched_rows, rdfmesh_obs::names::EXEC_STRATEGY_STITCHED_ROWS, delta);
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> LiveStatsSnapshot {
-        use std::sync::atomic::Ordering::Relaxed;
-        LiveStatsSnapshot {
-            retries: self.retries.load(Relaxed),
-            ack_timeouts: self.ack_timeouts.load(Relaxed),
-            send_failures: self.send_failures.load(Relaxed),
-            stale_replies: self.stale_replies.load(Relaxed),
-            providers_purged: self.providers_purged.load(Relaxed),
-            incomplete_queries: self.incomplete_queries.load(Relaxed),
-            lookup_failures: self.lookup_failures.load(Relaxed),
-            solution_rounds: self.solution_rounds.load(Relaxed),
-            solutions_shipped: self.solutions_shipped.load(Relaxed),
-            solution_bytes: self.solution_bytes.load(Relaxed),
-            admitted: self.admitted.load(Relaxed),
-            queued: self.queued.load(Relaxed),
-            rejected: self.rejected.load(Relaxed),
-            batches: self.batches.load(Relaxed),
-            batched_rounds: self.batched_rounds.load(Relaxed),
-            shuffle_parts: self.shuffle_parts.load(Relaxed),
-            shuffle_bytes: self.shuffle_bytes.load(Relaxed),
-            stitched_rows: self.stitched_rows.load(Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

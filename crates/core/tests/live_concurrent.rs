@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rdfmesh_core::{FaultPlan, LiveConfig, LiveError, LiveMesh, Transport, COORDINATOR};
+use rdfmesh_core::{Counter, FaultPlan, LiveConfig, LiveError, LiveMesh, Transport, COORDINATOR};
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 use rdfmesh_overlay::Overlay;
 use rdfmesh_rdf::{Term, Triple};
@@ -104,9 +104,9 @@ fn concurrent_executions_scenario(transport: Transport) {
         assert_eq!(rows(&exec.result), first, "concurrent answers all agree");
     }
     let stats = mesh.stats();
-    assert_eq!(stats.admitted, N as u64);
-    assert_eq!(stats.rejected, 0);
-    assert!(stats.retries >= 1, "the dropped frame forced at least one retry");
+    assert_eq!(stats[Counter::Admitted], N as u64);
+    assert_eq!(stats[Counter::Rejected], 0);
+    assert!(stats[Counter::Retries] >= 1, "the dropped frame forced at least one retry");
     mesh.shutdown();
 }
 
@@ -124,7 +124,7 @@ fn rejection_consumes_nothing_scenario(transport: Transport) {
     }
     // Saturate the window from outside, then measure a rejected run.
     let permit = mesh.admission().acquire(Duration::from_millis(10)).expect("empty window");
-    let rounds_before = mesh.stats().solution_rounds;
+    let rounds_before = mesh.stats()[Counter::SolutionRounds];
     let msgs_before = mesh.message_count();
     let started = Instant::now();
     let err = mesh.execute(QUERY, false, Duration::from_secs(10)).unwrap_err();
@@ -138,9 +138,9 @@ fn rejection_consumes_nothing_scenario(transport: Transport) {
         "rejection must not wait out the deadline: {rejected_in:?}"
     );
     let stats = mesh.stats();
-    assert_eq!(stats.solution_rounds, rounds_before, "no provider rounds consumed");
+    assert_eq!(stats[Counter::SolutionRounds], rounds_before, "no provider rounds consumed");
     assert_eq!(mesh.message_count(), msgs_before, "no protocol messages sent");
-    assert_eq!(stats.rejected, 1);
+    assert_eq!(stats[Counter::Rejected], 1);
     // Freeing the slot readmits the identical query.
     drop(permit);
     let exec = mesh.execute(QUERY, false, Duration::from_secs(10)).expect("readmitted");

@@ -14,7 +14,9 @@
 
 use std::time::{Duration, Instant};
 
-use rdfmesh_core::{global_store, DistChoice, ExecConfig, FaultPlan, LiveConfig, LiveMesh, Transport};
+use rdfmesh_core::{
+    global_store, Counter, DistChoice, ExecConfig, FaultPlan, LiveConfig, LiveMesh, Transport,
+};
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 use rdfmesh_overlay::Overlay;
 use rdfmesh_rdf::{Term, TermPattern, TriplePattern};
@@ -102,9 +104,9 @@ fn full_sparql_agrees_with_the_oracle_on_both_chain_strategies() {
         let bound = assert_live_agrees(&mesh, &overlay, query, true);
         assert_eq!(plain, bound, "chain strategies must agree: {query}");
     }
-    assert!(mesh.stats().solution_rounds >= queries.len() as u64 * 2);
-    assert!(mesh.stats().solutions_shipped > 0);
-    assert!(mesh.stats().solution_bytes > 0);
+    assert!(mesh.stats()[Counter::SolutionRounds] >= queries.len() as u64 * 2);
+    assert!(mesh.stats()[Counter::SolutionsShipped] > 0);
+    assert!(mesh.stats()[Counter::SolutionBytes] > 0);
     mesh.shutdown();
 }
 
@@ -171,7 +173,7 @@ fn provider_crash_mid_query_degrades_to_a_partial_answer() {
     );
     let QueryResult::Solutions(expected) = expected else { panic!() };
     assert_eq!(sorted(sols), sorted(expected), "partial answer = survivors' data");
-    assert!(mesh.stats().incomplete_queries >= 1);
+    assert!(mesh.stats()[Counter::IncompleteQueries] >= 1);
     mesh.shutdown();
 }
 
@@ -232,11 +234,11 @@ fn all_three_strategies_agree_with_the_oracle_on_threads() {
     // The star queries really went through the shuffle: rows were
     // partitioned by join-variable hash and shipped peer-to-peer.
     let stats = mesh.stats();
-    assert!(stats.shuffle_parts > 0, "HyperCube must ship shuffle partitions");
-    assert!(stats.shuffle_bytes > 0);
+    assert!(stats[Counter::ShuffleParts] > 0, "HyperCube must ship shuffle partitions");
+    assert!(stats[Counter::ShuffleBytes] > 0);
     // And partial evaluation stitched at least one cross-site match
     // (the knows chain crosses peer boundaries in the FOAF workload).
-    assert!(stats.stitched_rows > 0, "assembly must stitch cross-site rows");
+    assert!(stats[Counter::StitchedRows] > 0, "assembly must stitch cross-site rows");
     mesh.shutdown();
 }
 
@@ -251,7 +253,7 @@ fn all_three_strategies_agree_with_the_oracle_on_sockets() {
     )
     .expect("loopback listener");
     assert_strategies_agree(&mesh, &overlay);
-    assert!(mesh.stats().shuffle_parts > 0, "sockets ship the same shuffle frames");
+    assert!(mesh.stats()[Counter::ShuffleParts] > 0, "sockets ship the same shuffle frames");
     mesh.shutdown();
 }
 
@@ -332,12 +334,12 @@ fn bind_join_ships_fewer_solutions_on_selective_chains() {
 
     let plain_mesh = LiveMesh::spawn(&overlay);
     let plain = plain_mesh.execute(query, false, WAIT).expect("plain");
-    let plain_shipped = plain_mesh.stats().solutions_shipped;
+    let plain_shipped = plain_mesh.stats()[Counter::SolutionsShipped];
     plain_mesh.shutdown();
 
     let bound_mesh = LiveMesh::spawn(&overlay);
     let bound = bound_mesh.execute(query, true, WAIT).expect("bound");
-    let bound_shipped = bound_mesh.stats().solutions_shipped;
+    let bound_shipped = bound_mesh.stats()[Counter::SolutionsShipped];
     bound_mesh.shutdown();
 
     assert!(plain.complete && bound.complete);

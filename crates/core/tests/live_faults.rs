@@ -16,7 +16,7 @@
 use std::time::{Duration, Instant};
 
 use rdfmesh_core::{
-    FaultPlan, LiveAnswer, LiveConfig, LiveMesh, LiveMsg, QueryId, Transport, COORDINATOR,
+    Counter, FaultPlan, LiveAnswer, LiveConfig, LiveMesh, LiveMsg, QueryId, Transport, COORDINATOR,
 };
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 use rdfmesh_overlay::Overlay;
@@ -142,10 +142,10 @@ fn crashed_provider_scenario(transport: Transport) {
     assert_eq!(mesh.providers_of(&pattern), vec![STORAGE_A]);
 
     let stats = mesh.stats();
-    assert_eq!(stats.ack_timeouts, 1);
-    assert_eq!(stats.providers_purged, 1);
-    assert_eq!(stats.incomplete_queries, 1);
-    assert!(stats.send_failures >= 2, "initial send and its retry both fail");
+    assert_eq!(stats[Counter::AckTimeouts], 1);
+    assert_eq!(stats[Counter::ProvidersPurged], 1);
+    assert_eq!(stats[Counter::IncompleteQueries], 1);
+    assert!(stats[Counter::SendFailures] >= 2, "initial send and its retry both fail");
 
     // Restart does not resurrect the purged entry (the node must
     // republish, as in the paper's rejoin): the next query is complete
@@ -171,9 +171,9 @@ fn dropped_subquery_scenario(transport: Transport) {
     assert_eq!(sorted(answer.solutions), oracle(&o, &pattern, &[STORAGE_A, STORAGE_B]));
     assert_eq!(mesh.dropped_count(), 1);
     let stats = mesh.stats();
-    assert_eq!(stats.retries, 1);
-    assert_eq!(stats.ack_timeouts, 0, "the provider answered on the retry");
-    assert_eq!(stats.incomplete_queries, 0);
+    assert_eq!(stats[Counter::Retries], 1);
+    assert_eq!(stats[Counter::AckTimeouts], 0, "the provider answered on the retry");
+    assert_eq!(stats[Counter::IncompleteQueries], 0);
     mesh.shutdown();
 }
 
@@ -203,7 +203,7 @@ fn stale_reply_scenario(transport: Transport) {
     assert!(second.complete);
     assert!(!second.solutions.contains(&bogus), "stale reply leaked into the next query");
     assert_eq!(sorted(second.solutions), oracle(&o, &pattern, &[STORAGE_A, STORAGE_B]));
-    assert_eq!(mesh.stats().stale_replies, 1);
+    assert_eq!(mesh.stats()[Counter::StaleReplies], 1);
     mesh.shutdown();
 }
 
@@ -219,9 +219,9 @@ fn unreachable_index_scenario(transport: Transport) {
     assert!(!answer.complete);
     assert!(answer.solutions.is_empty());
     let stats = mesh.stats();
-    assert_eq!(stats.lookup_failures, 1);
-    assert_eq!(stats.send_failures, 2, "initial lookup and its retry");
-    assert_eq!(stats.incomplete_queries, 1);
+    assert_eq!(stats[Counter::LookupFailures], 1);
+    assert_eq!(stats[Counter::SendFailures], 2, "initial lookup and its retry");
+    assert_eq!(stats[Counter::IncompleteQueries], 1);
     mesh.shutdown();
 }
 
@@ -244,7 +244,7 @@ fn runtime_crash_scenario(transport: Transport) {
 
     fence_index_nodes(&mesh, &o);
     assert_eq!(mesh.providers_of(&pattern), vec![STORAGE_A]);
-    assert_eq!(mesh.stats().providers_purged, 1);
+    assert_eq!(mesh.stats()[Counter::ProvidersPurged], 1);
 
     // With the dead entry purged, the mesh answers complete again.
     let recovered = query(&mesh, &pattern, cfg.query_deadline);
@@ -324,12 +324,15 @@ fn socket_and_thread_transports_return_identical_answers() {
             let mesh = spawn(&o, cfg, FaultPlan::new().crash(STORAGE_B), t);
             let mut answer = query(&mesh, &pattern, cfg.query_deadline);
             answer.solutions.sort();
+            let wire = mesh.stats();
             if t == Transport::Sockets {
-                let wire = mesh.transport_stats().expect("socket transport has wire stats");
-                assert!(wire.frames_sent > 0, "protocol must actually cross the socket");
-                assert_eq!(wire.decode_errors, 0);
+                assert!(wire[Counter::FramesSent] > 0, "protocol must actually cross the socket");
+                assert_eq!(wire[Counter::DecodeErrors], 0);
             } else {
-                assert!(mesh.transport_stats().is_none(), "threads have no wire");
+                let transport = wire.iter().filter(|(c, _)| c.name().starts_with("transport."));
+                for (counter, value) in transport {
+                    assert_eq!(value, 0, "threads have no wire, yet {} moved", counter.name());
+                }
             }
             mesh.shutdown();
             answer
@@ -390,6 +393,6 @@ fn large_single_pattern_gather_stays_complete_and_live() {
     assert_eq!(sorted(answer.solutions), oracle(&o, &pattern, &[STORAGE_A, STORAGE_B]));
     fence_index_nodes(&mesh, &o);
     assert_eq!(mesh.providers_of(&pattern), vec![STORAGE_A], "the provider stays indexed");
-    assert_eq!(mesh.stats().providers_purged, 0);
+    assert_eq!(mesh.stats()[Counter::ProvidersPurged], 0);
     mesh.shutdown();
 }

@@ -4,10 +4,11 @@
 //! The discrete-event [`crate::Network`] gives deterministic *costs*; this
 //! module demonstrates the same protocols running under real concurrency.
 //! Nodes are user-supplied handler closures; the cluster routes
-//! envelopes, counts traffic with atomics, and shuts down cleanly.
+//! envelopes, counts traffic into a shared [`CounterSet`], and shuts
+//! down cleanly.
 //!
-//! Routing goes through a small internal [`Router`]: local nodes are
-//! crossbeam mailboxes, and an optional [`RemoteRoute`] hook lets a
+//! Routing goes through a small internal `Router`: local nodes are
+//! crossbeam mailboxes, and an optional `RemoteRoute` hook lets a
 //! socket transport claim destinations before the mailbox lookup. The
 //! thread cluster installs no hook; [`crate::tcp::TcpCluster`] installs
 //! one that frames envelopes onto TCP connections — same [`Outbox`]
@@ -29,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
+use rdfmesh_obs::{Counter, CounterSet};
 
 use crate::fault::{FaultPlan, FaultState, SendFate};
 use crate::network::NodeId;
@@ -53,16 +55,6 @@ pub(crate) enum Packet<M> {
 }
 
 type PendingNode<M> = (NodeId, Receiver<Packet<M>>, Box<dyn Handler<M>>);
-
-/// Shared traffic counters for a running cluster.
-#[derive(Debug, Default)]
-pub struct ClusterStats {
-    /// Messages delivered between distinct nodes.
-    pub messages: AtomicU64,
-    /// Messages silently lost by the fault plan (drops), plus deliveries
-    /// discarded because the destination was crashed at delivery time.
-    pub dropped: AtomicU64,
-}
 
 /// A transport hook consulted by the [`Router`] before the local mailbox
 /// lookup. Implemented by the TCP transport so envelopes addressed to
@@ -163,7 +155,7 @@ enum TimerCmd<M> {
 pub struct Outbox<M> {
     me: NodeId,
     router: Arc<Router<M>>,
-    stats: Arc<ClusterStats>,
+    counters: Arc<CounterSet>,
     faults: Arc<FaultState>,
     timer: Sender<TimerCmd<M>>,
     timer_seq: Arc<AtomicU64>,
@@ -189,7 +181,7 @@ impl<M> Outbox<M> {
         match self.faults.on_send(self.me, to) {
             SendFate::Refuse => false,
             SendFate::Drop => {
-                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                self.counters.add(Counter::ClusterDropped, 1);
                 true
             }
             SendFate::Delay(by) => {
@@ -198,7 +190,7 @@ impl<M> Outbox<M> {
             }
             SendFate::Deliver => {
                 if to != self.me {
-                    self.stats.messages.fetch_add(1, Ordering::Relaxed);
+                    self.counters.add(Counter::ClusterMessages, 1);
                 }
                 self.router.deliver(Envelope { from: self.me, to, payload })
             }
@@ -235,7 +227,7 @@ pub struct Cluster<M: Send + 'static> {
     mailboxes: Arc<HashMap<NodeId, Sender<Packet<M>>>>,
     router: Arc<Router<M>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
-    stats: Arc<ClusterStats>,
+    counters: Arc<CounterSet>,
     faults: Arc<FaultState>,
     timer: Sender<TimerCmd<M>>,
 }
@@ -258,7 +250,7 @@ where
 fn run_timer<M: Send + 'static>(
     rx: Receiver<TimerCmd<M>>,
     router: Arc<Router<M>>,
-    stats: Arc<ClusterStats>,
+    counters: Arc<CounterSet>,
 ) {
     let mut heap: BinaryHeap<TimerEntry<M>> = BinaryHeap::new();
     loop {
@@ -272,7 +264,7 @@ fn run_timer<M: Send + 'static>(
                 // the socket transport.
                 router.deliver_local(env);
             } else {
-                stats.messages.fetch_add(1, Ordering::Relaxed);
+                counters.add(Counter::ClusterMessages, 1);
                 router.deliver(env);
             }
         }
@@ -299,19 +291,23 @@ fn run_timer<M: Send + 'static>(
     }
 }
 
-/// The pre-spawn pieces of a cluster: mailbox channels, shared stats and
-/// fault state. The TCP transport prepares these first so its listener
+/// The pre-spawn pieces of a cluster: mailbox channels, shared counters
+/// and fault state. The TCP transport prepares these first so its listener
 /// threads can deliver into the mailboxes, then finishes the spawn with
 /// its remote-route hook installed.
 pub(crate) struct ClusterParts<M: Send + 'static> {
     pub(crate) mailboxes: Arc<HashMap<NodeId, Sender<Packet<M>>>>,
-    pub(crate) stats: Arc<ClusterStats>,
+    pub(crate) counters: Arc<CounterSet>,
     pub(crate) faults: Arc<FaultState>,
     pending: Vec<PendingNode<M>>,
 }
 
 impl<M: Send + 'static> ClusterParts<M> {
-    pub(crate) fn prepare(nodes: Vec<(NodeId, Box<dyn Handler<M>>)>, plan: FaultPlan) -> Self {
+    pub(crate) fn prepare(
+        nodes: Vec<(NodeId, Box<dyn Handler<M>>)>,
+        plan: FaultPlan,
+        counters: Arc<CounterSet>,
+    ) -> Self {
         let mut mailboxes = HashMap::new();
         let mut pending: Vec<PendingNode<M>> = Vec::new();
         for (id, handler) in nodes {
@@ -321,7 +317,7 @@ impl<M: Send + 'static> ClusterParts<M> {
         }
         ClusterParts {
             mailboxes: Arc::new(mailboxes),
-            stats: Arc::new(ClusterStats::default()),
+            counters,
             faults: Arc::new(FaultState::from_plan(plan)),
             pending,
         }
@@ -336,14 +332,14 @@ impl<M: Send + 'static> ClusterParts<M> {
         let mut handles = Vec::new();
         handles.push({
             let router = Arc::clone(&router);
-            let stats = Arc::clone(&self.stats);
-            std::thread::spawn(move || run_timer(timer_rx, router, stats))
+            let counters = Arc::clone(&self.counters);
+            std::thread::spawn(move || run_timer(timer_rx, router, counters))
         });
         for (id, rx, mut handler) in self.pending {
             let outbox = Outbox {
                 me: id,
                 router: Arc::clone(&router),
-                stats: Arc::clone(&self.stats),
+                counters: Arc::clone(&self.counters),
                 faults: Arc::clone(&self.faults),
                 timer: timer_tx.clone(),
                 timer_seq: Arc::clone(&timer_seq),
@@ -357,7 +353,7 @@ impl<M: Send + 'static> ClusterParts<M> {
                             // discards its deliveries; restart makes it
                             // responsive again with state intact.
                             if faults.is_crashed(id) {
-                                outbox.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                                outbox.counters.add(Counter::ClusterDropped, 1);
                             } else {
                                 handler.on_message(env, &outbox);
                             }
@@ -374,7 +370,7 @@ impl<M: Send + 'static> ClusterParts<M> {
             mailboxes: self.mailboxes,
             router,
             handles: Mutex::new(handles),
-            stats: self.stats,
+            counters: self.counters,
             faults: self.faults,
             timer: timer_tx,
         }
@@ -386,14 +382,18 @@ impl<M: Send + 'static> Cluster<M> {
     /// All nodes can reach each other by id (IP addresses in the paper's
     /// architecture).
     pub fn spawn(nodes: Vec<(NodeId, Box<dyn Handler<M>>)>) -> Self {
-        Self::spawn_with(nodes, FaultPlan::new())
+        Self::spawn_with(nodes, FaultPlan::new(), Arc::default())
     }
 
-    /// [`Cluster::spawn`] under a [`FaultPlan`]: nodes listed as crashed
-    /// start unresponsive, and the plan's link drops/delays apply to
-    /// every [`Outbox::send`].
-    pub fn spawn_with(nodes: Vec<(NodeId, Box<dyn Handler<M>>)>, plan: FaultPlan) -> Self {
-        ClusterParts::prepare(nodes, plan).finish(None)
+    /// [`Cluster::spawn`] under a [`FaultPlan`], counting its traffic
+    /// into `counters`: nodes listed as crashed start unresponsive, and
+    /// the plan's link drops/delays apply to every [`Outbox::send`].
+    pub fn spawn_with(
+        nodes: Vec<(NodeId, Box<dyn Handler<M>>)>,
+        plan: FaultPlan,
+        counters: Arc<CounterSet>,
+    ) -> Self {
+        ClusterParts::prepare(nodes, plan, counters).finish(None)
     }
 
     /// Injects a message from the outside world (e.g. the external
@@ -406,7 +406,7 @@ impl<M: Send + 'static> Cluster<M> {
             return false;
         }
         if from != to {
-            self.stats.messages.fetch_add(1, Ordering::Relaxed);
+            self.counters.add(Counter::ClusterMessages, 1);
         }
         self.router.deliver(Envelope { from, to, payload })
     }
@@ -443,17 +443,6 @@ impl<M: Send + 'static> Cluster<M> {
             return false;
         }
         ack_rx.recv_timeout(timeout).is_ok()
-    }
-
-    /// Messages delivered so far.
-    pub fn message_count(&self) -> u64 {
-        self.stats.messages.load(Ordering::Relaxed)
-    }
-
-    /// Messages lost so far (fault-plan drops plus deliveries discarded
-    /// at crashed nodes).
-    pub fn dropped_count(&self) -> u64 {
-        self.stats.dropped.load(Ordering::Relaxed)
     }
 
     /// Stops every node thread and waits for them to finish.
@@ -497,14 +486,19 @@ mod tests {
                 let _ = reply.send(n + 1);
             }
         };
-        let cluster = Cluster::spawn(vec![
-            (NodeId(1), Box::new(pinger) as Box<dyn Handler<Msg>>),
-            (NodeId(2), Box::new(ponger)),
-        ]);
+        let counters = Arc::new(CounterSet::default());
+        let cluster = Cluster::spawn_with(
+            vec![
+                (NodeId(1), Box::new(pinger) as Box<dyn Handler<Msg>>),
+                (NodeId(2), Box::new(ponger)),
+            ],
+            FaultPlan::new(),
+            Arc::clone(&counters),
+        );
         let (tx, rx) = chan();
         cluster.inject(NodeId(99), NodeId(1), Msg::Ping(0, tx));
         assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap(), 2);
-        assert!(cluster.message_count() >= 2);
+        assert!(counters.get(Counter::ClusterMessages) >= 2);
         cluster.shutdown();
     }
 

@@ -25,9 +25,9 @@ pub mod stats;
 pub mod tcp;
 pub mod time;
 
-pub use cluster::{Cluster, ClusterStats, Envelope, Handler, Outbox};
+pub use cluster::{Cluster, Envelope, Handler, Outbox};
 pub use fault::FaultPlan;
-pub use tcp::{TcpCluster, TransportSnapshot, WireFault, WireMsg};
+pub use tcp::{TcpCluster, WireFault, WireMsg};
 pub use latency::LatencyModel;
 pub use network::{Network, NodeId, TraceEntry};
 pub use sched::Scheduler;

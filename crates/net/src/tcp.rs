@@ -1,4 +1,4 @@
-//! A TCP socket transport implementing the same cluster/[`Outbox`]
+//! A TCP socket transport implementing the same cluster/[`Outbox`](crate::Outbox)
 //! contract as the thread-backed [`Cluster`].
 //!
 //! Every process binds one listener; logical nodes (storage, index,
@@ -38,6 +38,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
+use rdfmesh_obs::{Counter, CounterSet};
 
 use crate::cluster::{Cluster, ClusterParts, Envelope, Handler, Packet, RemoteRoute};
 use crate::fault::FaultPlan;
@@ -97,14 +98,15 @@ pub struct Frame {
 }
 
 /// Encodes one frame: `[u32 LE length][kind][body]` with
-/// `length = 1 + body.len()`.
-pub fn encode_frame(kind: u8, body: &[u8]) -> Vec<u8> {
-    let len = 1 + body.len() as u32;
+/// `length = 1 + body.len()`. Returns `None` when `length` would exceed
+/// [`MAX_FRAME`], which [`read_frame`] rejects by closing the link.
+pub fn encode_frame(kind: u8, body: &[u8]) -> Option<Vec<u8>> {
+    let len = u32::try_from(body.len() + 1).ok().filter(|len| *len <= MAX_FRAME)?;
     let mut out = Vec::with_capacity(5 + body.len());
     out.extend_from_slice(&len.to_le_bytes());
     out.push(kind);
     out.extend_from_slice(body);
-    out
+    Some(out)
 }
 
 /// Reads one frame. Returns `Ok(None)` on a clean end of stream (EOF at
@@ -161,87 +163,6 @@ pub fn read_handshake(r: &mut impl Read) -> io::Result<()> {
     Ok(())
 }
 
-/// Shared socket-level counters, mirrored into the obs registry under
-/// the `transport.*` names (`rdfmesh_obs::names`).
-#[derive(Debug, Default)]
-pub struct TransportStats {
-    frames_sent: AtomicU64,
-    frames_received: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    connects: AtomicU64,
-    reconnects: AtomicU64,
-    send_failures: AtomicU64,
-    decode_errors: AtomicU64,
-}
-
-impl TransportStats {
-    fn bump(&self, counter: &AtomicU64, name: &'static str, delta: u64) {
-        counter.fetch_add(delta, Ordering::Relaxed);
-        rdfmesh_obs::metrics().add(name, delta);
-    }
-
-    fn frame_sent(&self, wire_bytes: u64) {
-        self.bump(&self.frames_sent, rdfmesh_obs::names::TRANSPORT_FRAMES_SENT, 1);
-        self.bump(&self.bytes_sent, rdfmesh_obs::names::TRANSPORT_BYTES_SENT, wire_bytes);
-    }
-
-    fn frame_received(&self, wire_bytes: u64) {
-        self.bump(&self.frames_received, rdfmesh_obs::names::TRANSPORT_FRAMES_RECEIVED, 1);
-        self.bump(&self.bytes_received, rdfmesh_obs::names::TRANSPORT_BYTES_RECEIVED, wire_bytes);
-    }
-
-    fn connect(&self, again: bool) {
-        self.bump(&self.connects, rdfmesh_obs::names::TRANSPORT_CONNECTS, 1);
-        if again {
-            self.bump(&self.reconnects, rdfmesh_obs::names::TRANSPORT_RECONNECTS, 1);
-        }
-    }
-
-    fn send_failure(&self) {
-        self.bump(&self.send_failures, rdfmesh_obs::names::TRANSPORT_SEND_FAILURES, 1);
-    }
-
-    fn decode_error(&self) {
-        self.bump(&self.decode_errors, rdfmesh_obs::names::TRANSPORT_DECODE_ERRORS, 1);
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> TransportSnapshot {
-        TransportSnapshot {
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            frames_received: self.frames_received.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            connects: self.connects.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            send_failures: self.send_failures.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of a [`TransportStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransportSnapshot {
-    /// Frames written to sockets.
-    pub frames_sent: u64,
-    /// Frames decoded off sockets.
-    pub frames_received: u64,
-    /// On-wire bytes written (headers included, handshakes excluded).
-    pub bytes_sent: u64,
-    /// On-wire bytes read (headers included, handshakes excluded).
-    pub bytes_received: u64,
-    /// Successful outbound connections (first connects and reconnects).
-    pub connects: u64,
-    /// Successful outbound connections that replaced a broken one.
-    pub reconnects: u64,
-    /// Sends that failed after the reconnect attempt.
-    pub send_failures: u64,
-    /// Handshake failures, malformed frames, and undecodable payloads.
-    pub decode_errors: u64,
-}
-
 /// One outbound connection to a peer process, lazily connected and
 /// re-dialed once per send after a broken write.
 struct PeerLink {
@@ -255,11 +176,16 @@ impl PeerLink {
         PeerLink { addr, conn: Mutex::new(None), ever_connected: AtomicBool::new(false) }
     }
 
-    /// Writes one pre-encoded frame. Holding the lock across the write
-    /// keeps frames from interleaving when many node threads share the
-    /// link, and makes the per-link frame order the per-connection order
-    /// (which the barrier frames rely on).
-    fn send_frame(&self, frame: &[u8], stats: &TransportStats) -> bool {
+    /// Writes one frame. A frame over [`MAX_FRAME`] is refused before
+    /// any byte is written, so the link survives it. Holding the lock
+    /// across the write keeps frames from interleaving when many node
+    /// threads share the link, and makes the per-link frame order the
+    /// per-connection order (which the barrier frames rely on).
+    fn send_frame(&self, kind: u8, body: &[u8], counters: &CounterSet) -> bool {
+        let Some(frame) = encode_frame(kind, body) else {
+            counters.add(Counter::TransportSendFailures, 1);
+            return false;
+        };
         let mut guard = self.conn.lock();
         for _ in 0..2 {
             if guard.is_none() {
@@ -270,18 +196,22 @@ impl PeerLink {
                     continue;
                 }
                 let _ = s.set_nodelay(true);
-                stats.connect(self.ever_connected.swap(true, Ordering::Relaxed));
+                counters.add(Counter::Connects, 1);
+                if self.ever_connected.swap(true, Ordering::Relaxed) {
+                    counters.add(Counter::Reconnects, 1);
+                }
                 *guard = Some(s);
             }
             if let Some(s) = guard.as_mut() {
-                if s.write_all(frame).is_ok() {
-                    stats.frame_sent(frame.len() as u64);
+                if s.write_all(&frame).is_ok() {
+                    counters.add(Counter::FramesSent, 1);
+                    counters.add(Counter::BytesSent, frame.len() as u64);
                     return true;
                 }
                 *guard = None;
             }
         }
-        stats.send_failure();
+        counters.add(Counter::TransportSendFailures, 1);
         false
     }
 }
@@ -293,7 +223,7 @@ struct TcpShared<M: WireMsg> {
     mailboxes: Arc<HashMap<NodeId, Sender<Packet<M>>>>,
     routes: RwLock<HashMap<NodeId, SocketAddr>>,
     links: Mutex<HashMap<SocketAddr, Arc<PeerLink>>>,
-    stats: TransportStats,
+    counters: Arc<CounterSet>,
     /// Loopback twin mode: local destinations go over the socket too.
     force_socket: bool,
     control_tx: Sender<Vec<u8>>,
@@ -313,15 +243,16 @@ impl<M: WireMsg> TcpShared<M> {
         body.extend_from_slice(&env.from.0.to_le_bytes());
         body.extend_from_slice(&env.to.0.to_le_bytes());
         body.extend_from_slice(&payload);
-        self.link(addr).send_frame(&encode_frame(KIND_ENVELOPE, &body), &self.stats)
+        self.link(addr).send_frame(KIND_ENVELOPE, &body, &self.counters)
     }
 
     fn on_frame(&self, frame: Frame) {
-        self.stats.frame_received(5 + frame.body.len() as u64);
+        self.counters.add(Counter::FramesReceived, 1);
+        self.counters.add(Counter::BytesReceived, 5 + frame.body.len() as u64);
         match frame.kind {
             KIND_ENVELOPE => {
                 if frame.body.len() < 16 {
-                    self.stats.decode_error();
+                    self.counters.add(Counter::DecodeErrors, 1);
                     return;
                 }
                 let from = NodeId(u64::from_le_bytes(frame.body[..8].try_into().expect("8")));
@@ -332,12 +263,12 @@ impl<M: WireMsg> TcpShared<M> {
                             let _ = tx.send(Packet::Deliver(Envelope { from, to, payload }));
                         }
                     }
-                    Err(_) => self.stats.decode_error(),
+                    Err(_) => self.counters.add(Counter::DecodeErrors, 1),
                 }
             }
             KIND_BARRIER => {
                 if frame.body.len() != 16 {
-                    self.stats.decode_error();
+                    self.counters.add(Counter::DecodeErrors, 1);
                     return;
                 }
                 let to = NodeId(u64::from_le_bytes(frame.body[..8].try_into().expect("8")));
@@ -351,7 +282,7 @@ impl<M: WireMsg> TcpShared<M> {
             KIND_CONTROL => {
                 let _ = self.control_tx.send(frame.body);
             }
-            _ => self.stats.decode_error(),
+            _ => self.counters.add(Counter::DecodeErrors, 1),
         }
     }
 }
@@ -381,7 +312,7 @@ impl<M: WireMsg> RemoteRoute<M> for TcpShared<M> {
 
 fn run_reader<M: WireMsg>(mut stream: TcpStream, shared: Arc<TcpShared<M>>) {
     if read_handshake(&mut stream).is_err() {
-        shared.stats.decode_error();
+        shared.counters.add(Counter::DecodeErrors, 1);
         return;
     }
     let mut r = io::BufReader::new(stream);
@@ -390,7 +321,7 @@ fn run_reader<M: WireMsg>(mut stream: TcpStream, shared: Arc<TcpShared<M>>) {
             Ok(Some(frame)) => shared.on_frame(frame),
             Ok(None) => return,
             Err(_) => {
-                shared.stats.decode_error();
+                shared.counters.add(Counter::DecodeErrors, 1);
                 return;
             }
         }
@@ -398,7 +329,7 @@ fn run_reader<M: WireMsg>(mut stream: TcpStream, shared: Arc<TcpShared<M>>) {
 }
 
 /// A cluster whose inter-node traffic crosses TCP sockets — the same
-/// [`Outbox`]/[`Handler`] contract as [`Cluster`], so the live-mesh
+/// [`Outbox`](crate::Outbox)/[`Handler`] contract as [`Cluster`], so the live-mesh
 /// protocol and the PR 4 fault suite run on it unmodified. See the
 /// module docs for the two modes and `docs/DEPLOYMENT.md` for the wire
 /// specification.
@@ -414,35 +345,39 @@ impl<M: WireMsg> TcpCluster<M> {
     /// `127.0.0.1` port, every node local, and **all** inter-node sends
     /// routed through the socket. The [`FaultPlan`] adjudicates each
     /// send before it reaches the wire, exactly as in
-    /// [`Cluster::spawn_with`].
+    /// [`Cluster::spawn_with`], and traffic is counted into `counters`.
     pub fn spawn_loopback(
         nodes: Vec<(NodeId, Box<dyn Handler<M>>)>,
         plan: FaultPlan,
+        counters: Arc<CounterSet>,
     ) -> io::Result<Self> {
-        Self::start("127.0.0.1:0", nodes, plan, true)
+        Self::start("127.0.0.1:0", nodes, plan, counters, true)
     }
 
     /// Binds `listen` and spawns the local nodes in serve mode: local
     /// destinations use in-process mailboxes, remote destinations must
     /// be registered with [`TcpCluster::add_peer`], and inbound control
-    /// frames surface on [`TcpCluster::recv_control`].
+    /// frames surface on [`TcpCluster::recv_control`]. Traffic is counted
+    /// into `counters`.
     pub fn bind(
         listen: impl ToSocketAddrs,
         nodes: Vec<(NodeId, Box<dyn Handler<M>>)>,
         plan: FaultPlan,
+        counters: Arc<CounterSet>,
     ) -> io::Result<Self> {
-        Self::start(listen, nodes, plan, false)
+        Self::start(listen, nodes, plan, counters, false)
     }
 
     fn start(
         listen: impl ToSocketAddrs,
         nodes: Vec<(NodeId, Box<dyn Handler<M>>)>,
         plan: FaultPlan,
+        counters: Arc<CounterSet>,
         force_socket: bool,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
-        let parts = ClusterParts::prepare(nodes, plan);
+        let parts = ClusterParts::prepare(nodes, plan, counters);
         let (control_tx, control_rx) = unbounded();
         let mut routes = HashMap::new();
         if force_socket {
@@ -455,7 +390,7 @@ impl<M: WireMsg> TcpCluster<M> {
             mailboxes: Arc::clone(&parts.mailboxes),
             routes: RwLock::new(routes),
             links: Mutex::new(HashMap::new()),
-            stats: TransportStats::default(),
+            counters: Arc::clone(&parts.counters),
             force_socket,
             control_tx,
             barriers: Mutex::new(HashMap::new()),
@@ -507,7 +442,7 @@ impl<M: WireMsg> TcpCluster<M> {
     /// listening at `addr`. Returns `false` if the connection could not
     /// be established or the write failed after a reconnect.
     pub fn send_control(&self, addr: SocketAddr, bytes: &[u8]) -> bool {
-        self.shared.link(addr).send_frame(&encode_frame(KIND_CONTROL, bytes), &self.shared.stats)
+        self.shared.link(addr).send_frame(KIND_CONTROL, bytes, &self.shared.counters)
     }
 
     /// Receives the next inbound control frame, waiting up to `timeout`.
@@ -554,27 +489,11 @@ impl<M: WireMsg> TcpCluster<M> {
         let mut body = Vec::with_capacity(16);
         body.extend_from_slice(&node.0.to_le_bytes());
         body.extend_from_slice(&token.to_le_bytes());
-        if !self.shared.link(addr).send_frame(&encode_frame(KIND_BARRIER, &body), &self.shared.stats)
-        {
+        if !self.shared.link(addr).send_frame(KIND_BARRIER, &body, &self.shared.counters) {
             self.shared.barriers.lock().remove(&token);
             return false;
         }
         ack_rx.recv_timeout(timeout).is_ok()
-    }
-
-    /// Messages delivered so far (sender-side count, transport-agnostic).
-    pub fn message_count(&self) -> u64 {
-        self.cluster.message_count()
-    }
-
-    /// Messages lost so far; see [`Cluster::dropped_count`].
-    pub fn dropped_count(&self) -> u64 {
-        self.cluster.dropped_count()
-    }
-
-    /// A snapshot of the socket-level counters.
-    pub fn transport_stats(&self) -> TransportSnapshot {
-        self.shared.stats.snapshot()
     }
 
     /// Stops the node threads, unblocks the listener, and closes every
@@ -629,8 +548,8 @@ mod tests {
     fn frame_and_handshake_round_trip() {
         let mut buf = Vec::new();
         write_handshake(&mut buf).unwrap();
-        buf.extend_from_slice(&encode_frame(KIND_ENVELOPE, b"hello"));
-        buf.extend_from_slice(&encode_frame(KIND_CONTROL, &[]));
+        buf.extend_from_slice(&encode_frame(KIND_ENVELOPE, b"hello").unwrap());
+        buf.extend_from_slice(&encode_frame(KIND_CONTROL, &[]).unwrap());
         let mut r = io::Cursor::new(buf);
         read_handshake(&mut r).unwrap();
         let f1 = read_frame(&mut r).unwrap().unwrap();
@@ -664,6 +583,15 @@ mod tests {
     }
 
     #[test]
+    fn encoder_refuses_frames_the_reader_would_reject() {
+        let largest = vec![0u8; MAX_FRAME as usize - 1];
+        let frame = encode_frame(KIND_ENVELOPE, &largest).expect("length == MAX_FRAME fits");
+        let read = read_frame(&mut io::Cursor::new(frame)).unwrap().unwrap();
+        assert_eq!(read.body.len(), largest.len());
+        assert!(encode_frame(KIND_ENVELOPE, &vec![0u8; MAX_FRAME as usize]).is_none());
+    }
+
+    #[test]
     fn loopback_cluster_delivers_over_sockets() {
         let hits = Arc::new(AtomicU32::new(0));
         let (done_tx, done_rx) = unbounded::<()>();
@@ -675,22 +603,28 @@ mod tests {
             counter.fetch_add(env.payload.0, Ordering::SeqCst);
             let _ = done_tx.send(());
         };
+        let counters = Arc::new(CounterSet::default());
         let cluster = TcpCluster::spawn_loopback(
             vec![
                 (NodeId(1), Box::new(forward) as Box<dyn Handler<TestMsg>>),
                 (NodeId(2), Box::new(sink)),
             ],
             FaultPlan::new(),
+            Arc::clone(&counters),
         )
         .unwrap();
         assert!(cluster.inject(NodeId(99), NodeId(1), TestMsg(41)));
         done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 42);
-        let t = cluster.transport_stats();
-        assert!(t.frames_sent >= 2, "inject and forward both crossed the socket: {t:?}");
-        assert_eq!(t.frames_sent, t.frames_received, "loopback receives what it sends");
-        assert_eq!(t.decode_errors, 0);
+        // The forwarding node counts its frame after the write returns,
+        // so the sink can wake this thread first: read the counters only
+        // once shutdown has joined the node threads.
         cluster.shutdown();
+        let t = counters.snapshot();
+        let sent = t[Counter::FramesSent];
+        assert!(sent >= 2, "inject and forward both crossed the socket: {t:?}");
+        assert_eq!(sent, t[Counter::FramesReceived], "loopback receives what it sends");
+        assert_eq!(t[Counter::DecodeErrors], 0);
     }
 
     #[test]
@@ -705,12 +639,14 @@ mod tests {
         let sink = move |env: Envelope<TestMsg>, _out: &Outbox<TestMsg>| {
             let _ = seen_tx.send(env.payload.0);
         };
+        let counters = Arc::new(CounterSet::default());
         let cluster = TcpCluster::spawn_loopback(
             vec![
                 (NodeId(1), Box::new(relay) as Box<dyn Handler<TestMsg>>),
                 (NodeId(2), Box::new(sink)),
             ],
             FaultPlan::new().drop_nth(NodeId(1), NodeId(2), 1),
+            Arc::clone(&counters),
         )
         .unwrap();
         cluster.inject(NodeId(99), NodeId(1), TestMsg(7));
@@ -718,7 +654,7 @@ mod tests {
         assert!(sent_rx.recv_timeout(Duration::from_secs(5)).unwrap(), "dropped send looks ok");
         assert!(sent_rx.recv_timeout(Duration::from_secs(5)).unwrap());
         assert_eq!(seen_rx.recv_timeout(Duration::from_secs(5)).unwrap(), 8, "7 was dropped");
-        assert_eq!(cluster.dropped_count(), 1);
+        assert_eq!(counters.get(Counter::ClusterDropped), 1);
 
         // Crash node 2: the next relayed send fails fast (Refuse), no
         // socket traffic for it.
@@ -738,6 +674,7 @@ mod tests {
         let cluster = TcpCluster::spawn_loopback(
             vec![(NodeId(1), Box::new(node) as Box<dyn Handler<TestMsg>>)],
             FaultPlan::new(),
+            Arc::default(),
         )
         .unwrap();
         for _ in 0..100 {
@@ -752,11 +689,10 @@ mod tests {
     fn peer_link_reconnects_after_broken_connection() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let stats = TransportStats::default();
+        let counters = CounterSet::default();
         let link = PeerLink::new(addr);
 
-        let frame = encode_frame(KIND_CONTROL, b"one");
-        assert!(link.send_frame(&frame, &stats));
+        assert!(link.send_frame(KIND_CONTROL, b"one", &counters));
         // Accept and immediately drop the server side of connection 1.
         let (mut s1, _) = listener.accept().unwrap();
         read_handshake(&mut s1).unwrap();
@@ -767,14 +703,14 @@ mod tests {
         // kernel buffer and "succeed").
         let mut reconnected = false;
         for _ in 0..50 {
-            link.send_frame(&frame, &stats);
-            if stats.snapshot().reconnects > 0 {
+            link.send_frame(KIND_CONTROL, b"one", &counters);
+            if counters.get(Counter::Reconnects) > 0 {
                 reconnected = true;
                 break;
             }
             std::thread::sleep(Duration::from_millis(20));
         }
-        assert!(reconnected, "link never re-dialed: {:?}", stats.snapshot());
+        assert!(reconnected, "link never re-dialed: {:?}", counters.snapshot());
         let (mut s2, _) = listener.accept().unwrap();
         read_handshake(&mut s2).unwrap();
         let f = read_frame(&mut s2).unwrap().unwrap();
@@ -782,14 +718,15 @@ mod tests {
 
         // A dead address fails the send after the reconnect attempt.
         drop(listener);
-        let before = stats.snapshot().send_failures;
+        let before = counters.get(Counter::TransportSendFailures);
         let dead = PeerLink::new(addr);
-        assert!(!dead.send_frame(&frame, &stats));
-        assert!(stats.snapshot().send_failures > before);
+        assert!(!dead.send_frame(KIND_CONTROL, b"one", &counters));
+        assert!(counters.get(Counter::TransportSendFailures) > before);
     }
 
     #[test]
     fn undecodable_payloads_are_counted_not_trusted() {
+        let counters = Arc::new(CounterSet::default());
         let cluster = TcpCluster::spawn_loopback(
             vec![(
                 NodeId(1),
@@ -797,6 +734,7 @@ mod tests {
                     as Box<dyn Handler<TestMsg>>,
             )],
             FaultPlan::new(),
+            Arc::clone(&counters),
         )
         .unwrap();
         // Speak the protocol by hand: valid handshake and frame, but a
@@ -807,13 +745,56 @@ mod tests {
         body.extend_from_slice(&9u64.to_le_bytes());
         body.extend_from_slice(&1u64.to_le_bytes());
         body.extend_from_slice(b"garbage");
-        s.write_all(&encode_frame(KIND_ENVELOPE, &body)).unwrap();
+        s.write_all(&encode_frame(KIND_ENVELOPE, &body).unwrap()).unwrap();
         s.flush().unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while cluster.transport_stats().decode_errors == 0 {
+        while counters.get(Counter::DecodeErrors) == 0 {
             assert!(std::time::Instant::now() < deadline, "decode error never counted");
             std::thread::sleep(Duration::from_millis(10));
         }
+        cluster.shutdown();
+    }
+
+    /// A message whose payload size the test chooses.
+    #[derive(Debug)]
+    struct Blob(Vec<u8>);
+
+    impl WireMsg for Blob {
+        fn encode_wire(&self) -> Vec<u8> {
+            self.0.clone()
+        }
+        fn decode_wire(bytes: &[u8]) -> Result<Self, WireFault> {
+            Ok(Blob(bytes.to_vec()))
+        }
+    }
+
+    #[test]
+    fn oversized_frame_is_refused_and_the_link_survives() {
+        let (seen_tx, seen_rx) = unbounded::<usize>();
+        let sink = move |env: Envelope<Blob>, _out: &Outbox<Blob>| {
+            let _ = seen_tx.send(env.payload.0.len());
+        };
+        let counters = Arc::new(CounterSet::default());
+        let cluster = TcpCluster::spawn_loopback(
+            vec![(NodeId(1), Box::new(sink) as Box<dyn Handler<Blob>>)],
+            FaultPlan::new(),
+            Arc::clone(&counters),
+        )
+        .unwrap();
+        let wait = Duration::from_secs(5);
+        assert!(cluster.inject(NodeId(0), NodeId(1), Blob(vec![1; 8])));
+        assert_eq!(seen_rx.recv_timeout(wait).unwrap(), 8);
+        assert!(
+            !cluster.inject(NodeId(0), NodeId(1), Blob(vec![2; 17 << 20])),
+            "a 17 MiB envelope exceeds MAX_FRAME"
+        );
+        assert!(cluster.inject(NodeId(0), NodeId(1), Blob(vec![3; 16])));
+        assert_eq!(seen_rx.recv_timeout(wait).unwrap(), 16, "the next frame still arrives");
+        let t = counters.snapshot();
+        assert_eq!(t[Counter::TransportSendFailures], 1);
+        assert_eq!(t[Counter::DecodeErrors], 0);
+        assert_eq!(t[Counter::Reconnects], 0);
+        assert_eq!(t[Counter::Connects], 1, "one connection carried both small frames");
         cluster.shutdown();
     }
 }

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::unbounded;
+use rdfmesh_obs::{Counter, CounterSet};
 use rdfmesh_net::{
     Cluster, Envelope, FaultPlan, Handler, LatencyModel, Network, NodeId, Outbox, Scheduler,
     SimTime,
@@ -48,12 +49,13 @@ fn cluster_survives_a_message_flood() {
             )
         })
         .collect();
-    let cluster = Cluster::spawn(nodes);
+    let counters = Arc::new(CounterSet::default());
+    let cluster = Cluster::spawn_with(nodes, FaultPlan::new(), Arc::clone(&counters));
     let (tx, rx) = unbounded();
     cluster.inject(NodeId(99), NodeId(0), Token { remaining: 1000, done: tx });
     let total = rx.recv_timeout(std::time::Duration::from_secs(30)).expect("token returned");
     assert!(total >= 1000);
-    assert!(cluster.message_count() >= 1000);
+    assert!(counters.get(Counter::ClusterMessages) >= 1000);
     cluster.shutdown();
 }
 
@@ -68,17 +70,14 @@ impl Handler<EchoMsg> for Echo {
     }
 }
 
-fn echo_pair() -> Cluster<EchoMsg> {
-    echo_pair_with(FaultPlan::new())
-}
-
-fn echo_pair_with(plan: FaultPlan) -> Cluster<EchoMsg> {
+fn echo_pair_with(plan: FaultPlan, counters: Arc<CounterSet>) -> Cluster<EchoMsg> {
     Cluster::spawn_with(
         vec![
             (NodeId(1), Box::new(Echo) as Box<dyn Handler<EchoMsg>>),
             (NodeId(2), Box::new(Echo)),
         ],
         plan,
+        counters,
     )
 }
 
@@ -92,12 +91,14 @@ fn fault_plan_drops_exactly_the_nth_message() {
             assert!(out.send(NodeId(2), env.payload), "dropped sends still report success");
         }
     }
+    let counters = Arc::new(CounterSet::default());
     let cluster = Cluster::spawn_with(
         vec![
             (NodeId(1), Box::new(Relay) as Box<dyn Handler<EchoMsg>>),
             (NodeId(2), Box::new(Echo)),
         ],
         FaultPlan::new().drop_nth(NodeId(1), NodeId(2), 2),
+        Arc::clone(&counters),
     );
     let (tx, rx) = unbounded();
     for tag in 0..3u64 {
@@ -108,7 +109,7 @@ fn fault_plan_drops_exactly_the_nth_message() {
         tags.push(tag);
     }
     assert_eq!(tags, vec![0, 2], "exactly the 2nd relay message is lost");
-    assert_eq!(cluster.dropped_count(), 1);
+    assert_eq!(counters.get(Counter::ClusterDropped), 1);
     cluster.shutdown();
 }
 
@@ -180,6 +181,7 @@ fn delayed_link_delivers_after_direct_messages() {
             (NodeId(3), Box::new(Hop)),
         ],
         FaultPlan::new().delay(NodeId(1), NodeId(2), Duration::from_millis(300)),
+        Arc::default(),
     );
     let (tx, rx) = unbounded();
     cluster.inject(NodeId(0), NodeId(1), (0, tx));
@@ -208,17 +210,19 @@ fn scheduled_deadline_messages_arrive_in_deadline_order() {
             }
         }
     }
-    let cluster = Cluster::spawn(vec![(
-        NodeId(1),
-        Box::new(Deadlines { armed: false }) as Box<dyn Handler<EchoMsg>>,
-    )]);
+    let counters = Arc::new(CounterSet::default());
+    let cluster = Cluster::spawn_with(
+        vec![(NodeId(1), Box::new(Deadlines { armed: false }) as Box<dyn Handler<EchoMsg>>)],
+        FaultPlan::new(),
+        Arc::clone(&counters),
+    );
     let (tx, rx) = unbounded();
-    let before = cluster.message_count();
+    let before = counters.get(Counter::ClusterMessages);
     cluster.inject(NodeId(0), NodeId(1), (0, tx));
     assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap().1, 20);
     assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap().1, 10);
     // Self-deadlines are not network traffic.
-    assert_eq!(cluster.message_count(), before + 1);
+    assert_eq!(counters.get(Counter::ClusterMessages), before + 1);
     cluster.shutdown();
 }
 
@@ -238,6 +242,7 @@ fn spawn_with_pre_crashed_node_refuses_sends() {
             (NodeId(2), Box::new(Echo)),
         ],
         FaultPlan::new().crash(NodeId(2)),
+        Arc::default(),
     );
     let (tx, rx) = unbounded();
     cluster.inject(NodeId(0), NodeId(1), (0, tx));
@@ -247,13 +252,14 @@ fn spawn_with_pre_crashed_node_refuses_sends() {
 
 #[test]
 fn barrier_works_on_a_crashed_node() {
-    let cluster = echo_pair();
+    let counters = Arc::new(CounterSet::default());
+    let cluster = echo_pair_with(FaultPlan::new(), Arc::clone(&counters));
     assert!(cluster.crash(NodeId(1)));
     let (tx, _rx) = unbounded();
     cluster.inject(NodeId(0), NodeId(1), (7, tx));
     // The crashed node still drains (and discards) its mailbox.
     assert!(cluster.barrier(NodeId(1), Duration::from_secs(5)));
-    assert!(cluster.dropped_count() >= 1);
+    assert!(counters.get(Counter::ClusterDropped) >= 1);
     cluster.shutdown();
 }
 

@@ -17,17 +17,22 @@
 //! recording call is a single relaxed atomic load and a branch, so
 //! instrumented hot paths pay no measurable cost.
 //!
+//! A live mesh counts its protocol and transport events into its own
+//! [`CounterSet`]: one atomic per pre-registered [`Counter`], always on.
+//!
 //! Both the trace and the registry export as a human-readable table and
 //! as JSON lines. See `docs/OBSERVABILITY.md` for the full phase and
 //! metric catalog with a worked end-to-end example.
 
 #![warn(missing_docs)]
 
+mod counters;
 pub mod json;
 mod metrics;
 pub mod names;
 mod trace;
 
+pub use counters::{Counter, CounterSet, CounterSnapshot};
 pub use metrics::{metrics, Histogram, MetricsRegistry, Snapshot};
 pub use trace::{
     advance_current, begin_current, charge_current, count_current, end_current, phase,

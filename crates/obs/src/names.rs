@@ -74,6 +74,15 @@ pub const TRANSPORT_SEND_FAILURES: &str = "transport.send_failures";
 /// Handshake failures, malformed frames, and undecodable payloads.
 pub const TRANSPORT_DECODE_ERRORS: &str = "transport.decode_errors";
 
+// ---- thread cluster (both live transports) ---------------------------
+
+/// Messages delivered between distinct nodes (sender-side count,
+/// transport-agnostic).
+pub const CLUSTER_MESSAGES: &str = "cluster.messages";
+/// Messages lost to the fault plan's drops or discarded at a node that
+/// was crashed at delivery time.
+pub const CLUSTER_DROPPED: &str = "cluster.dropped";
+
 // ---- backend-agnostic execution core (docs/EXECUTION.md) -------------
 
 /// Plans executed through the backend-agnostic executor (`exec::run`).

@@ -455,9 +455,10 @@ pub mod hashed {
 /// `u32`-length-prefixed UTF-8; terms carry a one-byte tag (IRI, blank,
 /// plain / language-tagged / typed literal). All integers little-endian.
 ///
-/// The primitive writers ([`put_str`], [`put_term`], [`put_u32`],
-/// [`put_u64`]) and the [`Reader`] cursor are public so higher-level
-/// codecs — the live-protocol message codec in `rdfmesh-core` and the
+/// The primitive writers ([`wire::put_str`], [`wire::put_term`],
+/// [`wire::put_u32`], [`wire::put_u64`]) and the [`wire::Reader`] cursor
+/// are public so higher-level codecs — the live-protocol message codec
+/// in `rdfmesh-core` and the
 /// [`crate::expr::wire`] expression codec — compose the same primitives
 /// instead of reinventing term encoding. `docs/DEPLOYMENT.md` specifies
 /// the full byte layout.

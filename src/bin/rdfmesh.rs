@@ -294,7 +294,8 @@ fn report_load(file: &str, statements: u64, elapsed: Duration) {
 }
 
 fn run_serve(o: &Options) -> Result<(), String> {
-    // Record live.* / transport.* / store.* metrics for GET /metrics.
+    // Record the process-wide store.*, exec.* and planner.* metrics that
+    // GET /metrics prints after the node's own counter set.
     rdfmesh::obs::metrics().enable();
     let id = o.node_id.unwrap_or_else(|| u64::from(std::process::id()));
     let mut loaded = 0u64;

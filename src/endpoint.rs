@@ -13,8 +13,10 @@
 //!   full answer from one that survived a provider crash;
 //! * `GET /health` reports the process's roster size, for liveness
 //!   probes and the `docs/DEPLOYMENT.md` walkthrough;
-//! * `GET /metrics` dumps the process-wide [`rdfmesh_obs`] registry as
-//!   flat `name value` text, one metric per line.
+//! * `GET /metrics` dumps the node's counter set (the `live.*`,
+//!   live-side `exec.strategy.*`, `transport.*` and `cluster.*` counts)
+//!   and then the process-wide [`rdfmesh_obs`] registry, as flat
+//!   `name value` text, one metric per line.
 //!
 //! A bounded pool of handler threads drains accepted connections from a
 //! bounded hand-off queue, `Connection: close` semantics: concurrent
@@ -368,7 +370,10 @@ fn handle_connection(
             respond(&mut stream, "200 OK", "application/json", &body)
         }
         ("GET", "/metrics") => {
-            let body = render_metrics(&rdfmesh_obs::metrics().snapshot());
+            let counters = node.stats();
+            let mut body: String =
+                counters.iter().map(|(c, value)| format!("{} {value}\n", c.name())).collect();
+            body.push_str(&render_metrics(&rdfmesh_obs::metrics().snapshot()));
             respond(&mut stream, "200 OK", "text/plain; charset=utf-8", &body)
         }
         ("GET" | "POST", "/sparql") => {

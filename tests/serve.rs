@@ -10,7 +10,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use rdfmesh::{parse_query, SharingSystem, Triple};
+use rdfmesh::core::Counter;
+use rdfmesh::{parse_query, MeshNode, ServeOptions, SharingSystem, SparqlEndpoint, Triple};
 
 /// Kills the child process on drop so a failed assertion cannot leak
 /// orphan `serve` processes.
@@ -331,6 +332,71 @@ fn overloaded_node_sheds_load_with_503_and_exposes_metrics() {
     assert!(gauge("live.solution_rounds ") >= 3, "the chain query ran its rounds");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `/metrics` leads with the node's own counter set: every `live.*` and
+/// `transport.*` handle appears exactly once, with the value the node's
+/// `stats()` reports. Two in-process nodes, so the query crosses a socket.
+#[test]
+fn metrics_print_every_live_and_transport_counter_once() {
+    use rdfmesh::core::LiveConfig;
+    use std::sync::Arc;
+
+    let data = |lines: &[&str]| rdfmesh::TripleStore::from_triples(nt(lines));
+    let n1 = MeshNode::start(
+        "127.0.0.1:0",
+        31,
+        data(&["<http://example.org/a> <http://example.org/p> <http://example.org/b> ."]),
+        LiveConfig::default(),
+    )
+    .unwrap();
+    let n2 = MeshNode::start(
+        "127.0.0.1:0",
+        32,
+        data(&["<http://example.org/b> <http://example.org/p> <http://example.org/c> ."]),
+        LiveConfig::default(),
+    )
+    .unwrap();
+    assert!(n2.join(n1.local_addr()));
+    let node = Arc::new(n1);
+    let endpoint =
+        SparqlEndpoint::serve("127.0.0.1:0", Arc::clone(&node), ServeOptions::default()).unwrap();
+    let addr = endpoint.local_addr().to_string();
+    await_members(&addr, 2);
+    let query =
+        "SELECT ?x ?z WHERE { ?x <http://example.org/p> ?y . ?y <http://example.org/p> ?z }";
+    let (status, body) = http_get_sparql(&addr, query);
+    assert!(status.contains("200") && body.contains("\"complete\":true"), "{status} {body}");
+
+    // Membership traffic may still be settling: take a scrape whose
+    // counters did not move while it was rendered.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let (stats, body) = loop {
+        let before = node.stats();
+        let (status, body) =
+            http(&addr, &format!("GET /metrics HTTP/1.1\r\nHost: {addr}\r\n\r\n"));
+        assert!(status.contains("200"), "metrics route failed: {status}");
+        if node.stats() == before {
+            break (before, body);
+        }
+        assert!(Instant::now() < deadline, "counters never settled");
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(stats[Counter::FramesSent] > 0, "the query crossed a socket");
+    let live_or_transport = stats
+        .iter()
+        .filter(|(c, _)| c.name().starts_with("live.") || c.name().starts_with("transport."));
+    for (counter, value) in live_or_transport {
+        let name = counter.name();
+        let lines: Vec<&str> = body
+            .lines()
+            .filter(|line| line.split_once(' ').is_some_and(|(n, _)| n == name))
+            .collect();
+        assert_eq!(lines, vec![format!("{name} {value}")], "{name} in /metrics:\n{body}");
+    }
+    endpoint.shutdown();
+    node.shutdown();
+    n2.shutdown();
 }
 
 #[test]
